@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-json alloc-gate chaos ci obs-smoke policy-smoke quick resume-smoke sample-smoke serve serve-smoke trace-smoke
+.PHONY: all build test race bench bench-json alloc-gate chaos ci lapbench-test obs-smoke policy-smoke quick resume-smoke sample-smoke serve serve-smoke trace-smoke
 
 all: build
 
@@ -71,10 +71,17 @@ resume-smoke:
 chaos:
 	$(GO) test -race -timeout 10m -run 'Chaos|Fault|Corrupt' ./...
 
+# The repository benchmark lives in its own module (lapbench/go.mod), so
+# `go test ./...` never enters it; this target builds and tests it against
+# the surrounding checkout, catching internal API changes that break it.
+lapbench-test:
+	cd lapbench && GOWORK=off $(GO) test ./...
+
 ci:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race -timeout 30m ./...
+	$(MAKE) lapbench-test
 	$(GO) test -race -timeout 10m -run 'Chaos|Fault|Corrupt' ./...
 	$(MAKE) alloc-gate
 	$(MAKE) policy-smoke

@@ -8,12 +8,13 @@
 // divided by the block size); the hierarchy layer performs the shift once
 // at its edge.
 //
-// The backing store uses a split layout tuned for the probe-dominated
-// access pattern of the simulator hot loop: a packed per-set tag array and
-// valid bitmask are scanned on every probe, while the cold per-line
-// metadata (dirty/loop/shared bits, RRPV) lives in a separate Line array
-// touched only on hits and evictions. Recency is a compact per-set LRU
-// ordering (one byte per way), so a touch is a byte shuffle instead of a
+// The backing store is a split layout tuned for the probe-dominated
+// access pattern of the simulator hot loop. A packed per-set tag array and
+// valid bitmask are scanned on every probe and are the only record of
+// which block sits in which way. The remaining per-line state (dirty,
+// loop and shared bits, RRPV) is one packed Meta byte per line, touched
+// only on hits and evictions. Recency is a compact per-set LRU ordering
+// (one byte per way), so a touch is a byte shuffle instead of a
 // global-counter stamp write.
 package cache
 
@@ -22,12 +23,12 @@ import (
 	"math/bits"
 )
 
-// Line is one cache block's metadata. The simulator is trace-driven, so no
-// data payload is stored; Tag holds the full block number, which both
-// identifies the block and lets a line be re-expanded to its address.
-// Tag and Valid are mirrored into the cache's packed probe arrays and must
-// only change through InsertAt/Evict/Invalidate/Reset; the remaining
-// fields are free to mutate through Line pointers.
+// Line is one cache block's contents as seen through the public API: a
+// value assembled on demand from the packed arrays by Line, Evict and
+// Invalidate, never stored. The simulator is trace-driven, so no data
+// payload exists; Tag holds the full block number, which both identifies
+// the block and lets a line be re-expanded to its address. Changing a
+// resident line's flags goes through its Meta handle.
 type Line struct {
 	// Tag is the block number stored in this line.
 	Tag uint64
@@ -42,9 +43,54 @@ type Line struct {
 	// Shared marks lines known to be replicated in a peer core's private
 	// cache; used by the coherence model to trigger write invalidations.
 	Shared bool
-	// rrpv is the 2-bit re-reference prediction value (RRIP replacement).
-	rrpv uint8
 }
+
+// Meta is one line's packed state byte: the dirty, loop and shared bits
+// and the 2-bit RRIP re-reference prediction value. Bit 0 is reserved:
+// validity lives only in the set's bitmask. An invalid line's Meta is
+// always zero.
+type Meta uint8
+
+// Meta bit layout.
+const (
+	metaDirty  Meta = 1 << 1
+	metaLoop   Meta = 1 << 2
+	metaShared Meta = 1 << 3
+	metaRRPVSh      = 4
+	metaRRPV   Meta = rrpvMax << metaRRPVSh
+	// metaUsed masks every defined bit; the rest must be zero.
+	metaUsed = metaDirty | metaLoop | metaShared | metaRRPV
+)
+
+// Dirty reports the line's dirty bit.
+func (m Meta) Dirty() bool { return m&metaDirty != 0 }
+
+// Loop reports the line's loop-bit.
+func (m Meta) Loop() bool { return m&metaLoop != 0 }
+
+// Shared reports the line's shared bit.
+func (m Meta) Shared() bool { return m&metaShared != 0 }
+
+func (m Meta) rrpv() uint8 { return uint8(m&metaRRPV) >> metaRRPVSh }
+
+func (m *Meta) set(bit Meta, v bool) {
+	if v {
+		*m |= bit
+	} else {
+		*m &^= bit
+	}
+}
+
+// SetDirty sets or clears the line's dirty bit.
+func (m *Meta) SetDirty(v bool) { m.set(metaDirty, v) }
+
+// SetLoop sets or clears the line's loop-bit.
+func (m *Meta) SetLoop(v bool) { m.set(metaLoop, v) }
+
+// SetShared sets or clears the line's shared bit.
+func (m *Meta) SetShared(v bool) { m.set(metaShared, v) }
+
+func (m *Meta) setRRPV(v uint8) { *m = *m&^metaRRPV | Meta(v)<<metaRRPVSh }
 
 // Config sizes a cache.
 type Config struct {
@@ -83,8 +129,9 @@ type Cache struct {
 	// order holds the per-set recency ordering: order[set*ways+k] is the
 	// way at recency rank k, rank 0 being LRU and ways-1 being MRU.
 	order []uint8
-	// lines is the cold metadata store, indexed like tags.
-	lines []Line
+	// meta holds each line's packed state byte (see Meta), indexed like
+	// tags.
+	meta []uint8
 	// fills is the running count of valid lines (see FillCount).
 	fills int
 
@@ -120,7 +167,7 @@ func New(cfg Config) *Cache {
 		tags:    make([]uint64, sets*cfg.Ways),
 		valid:   make([]uint64, sets),
 		order:   make([]uint8, sets*cfg.Ways),
-		lines:   make([]Line, sets*cfg.Ways),
+		meta:    make([]uint8, sets*cfg.Ways),
 	}
 	c.resetOrder()
 	return c
@@ -148,8 +195,24 @@ func (c *Cache) Ways() int { return c.ways }
 // SetOf maps a block number to its set index.
 func (c *Cache) SetOf(block uint64) int { return int(block & c.setMask) }
 
-// Line returns the line at (set, way) for inspection or mutation.
-func (c *Cache) Line(set, way int) *Line { return &c.lines[set*c.ways+way] }
+// Line returns the contents of (set, way).
+func (c *Cache) Line(set, way int) Line {
+	if c.valid[set]&(1<<uint(way)) == 0 {
+		return Line{}
+	}
+	return c.resident(set*c.ways + way)
+}
+
+// resident assembles the Line of the valid line at index idx.
+func (c *Cache) resident(idx int) Line {
+	m := Meta(c.meta[idx])
+	return Line{Tag: c.tags[idx], Valid: true, Dirty: m.Dirty(), Loop: m.Loop(), Shared: m.Shared()}
+}
+
+// Meta returns the state byte of (set, way), the one handle through which
+// a resident line's dirty, loop and shared bits change in place. It must
+// only be used on a valid line.
+func (c *Cache) Meta(set, way int) *Meta { return (*Meta)(&c.meta[set*c.ways+way]) }
 
 // IsSRAMWay reports whether the given way lies in the SRAM region of a
 // hybrid cache. For single-technology caches it is always false.
@@ -159,7 +222,7 @@ func (c *Cache) IsSRAMWay(way int) bool { return way < c.cfg.SRAMWays }
 func (c *Cache) SRAMWays() int { return c.cfg.SRAMWays }
 
 // probeIn scans the packed tag array of one set for block, returning the
-// way index or -1. The cold Line array is not touched.
+// way index or -1. The per-line state bytes are not touched.
 func (c *Cache) probeIn(set int, block uint64) int {
 	base := set * c.ways
 	tags := c.tags[base : base+c.ways]
@@ -192,23 +255,30 @@ func (c *Cache) Lookup(block uint64) int {
 	return w
 }
 
-// touchIn moves (set, way) to the MRU rank of its set's recency ordering.
+// touchIn promotes (set, way): MRU recency rank and, under RRIP, an
+// immediate re-reference prediction.
 func (c *Cache) touchIn(set, way int) {
+	c.moveToMRU(set, way)
+	if c.cfg.Replacement == ReplRRIP {
+		c.Meta(set, way).setRRPV(rrpvPromote)
+	}
+}
+
+// moveToMRU moves (set, way) to the MRU rank of its set's recency ordering.
+func (c *Cache) moveToMRU(set, way int) {
 	base := set * c.ways
 	ord := c.order[base : base+c.ways]
 	w := uint8(way)
 	last := c.ways - 1
-	if ord[last] != w {
-		for i, v := range ord {
-			if v == w {
-				copy(ord[i:], ord[i+1:])
-				ord[last] = w
-				break
-			}
-		}
+	if ord[last] == w {
+		return
 	}
-	if c.cfg.Replacement == ReplRRIP {
-		c.lines[base+way].rrpv = rrpvPromote
+	for i, v := range ord {
+		if v == w {
+			copy(ord[i:], ord[i+1:])
+			ord[last] = w
+			return
+		}
 	}
 }
 
@@ -239,27 +309,30 @@ func (c *Cache) InsertAt(set, way int, block uint64, dirty, loop bool) {
 		c.fills++
 	}
 	c.tags[idx] = block
-	l := &c.lines[idx]
-	*l = Line{Tag: block, Valid: true, Dirty: dirty, Loop: loop}
-	c.touchIn(set, way)
+	var m Meta
+	m.SetDirty(dirty)
+	m.SetLoop(loop)
 	if c.cfg.Replacement == ReplRRIP {
-		l.rrpv = rrpvInsert
+		m.setRRPV(rrpvInsert)
 	}
+	c.meta[idx] = uint8(m)
+	c.moveToMRU(set, way)
 }
 
 // Evict invalidates (set, way) and returns the previous contents. The
 // second result is false if the line was already invalid.
 func (c *Cache) Evict(set, way int) (Line, bool) {
-	idx := set*c.ways + way
-	l := &c.lines[idx]
-	old := *l
-	*l = Line{}
-	c.tags[idx] = 0
-	if bit := uint64(1) << uint(way); c.valid[set]&bit != 0 {
-		c.valid[set] &^= bit
-		c.fills--
+	bit := uint64(1) << uint(way)
+	if c.valid[set]&bit == 0 {
+		return Line{}, false
 	}
-	return old, old.Valid
+	idx := set*c.ways + way
+	old := c.resident(idx)
+	c.valid[set] &^= bit
+	c.fills--
+	c.tags[idx] = 0
+	c.meta[idx] = 0
+	return old, true
 }
 
 // Invalidate removes a block if present, returning the line it occupied.
@@ -278,21 +351,15 @@ func (c *Cache) FillCount() int { return c.fills }
 
 // Reset invalidates every line and clears counters, preserving geometry.
 func (c *Cache) Reset() {
-	for i := range c.lines {
-		c.lines[i] = Line{}
-	}
-	for i := range c.tags {
-		c.tags[i] = 0
-	}
-	for i := range c.valid {
-		c.valid[i] = 0
-	}
+	clear(c.tags)
+	clear(c.valid)
+	clear(c.meta)
 	c.resetOrder()
 	c.fills, c.Hits, c.Misses = 0, 0, 0
 }
 
 // State is a deep copy of a cache's contents — tags, valid bits,
-// recency order, line metadata, and counters — detached from the live
+// recency order, line state bytes, and counters — detached from the live
 // arrays. Sampled simulation captures States during the profiling pass
 // and restores them before each measured interval, so a replay starts
 // from the warm state that trace position actually had rather than
@@ -301,7 +368,7 @@ type State struct {
 	tags         []uint64
 	valid        []uint64
 	order        []uint8
-	lines        []Line
+	meta         []uint8
 	fills        int
 	hits, misses uint64
 }
@@ -316,13 +383,13 @@ func (c *Cache) Snapshot(reuse *State) *State {
 			tags:  make([]uint64, len(c.tags)),
 			valid: make([]uint64, len(c.valid)),
 			order: make([]uint8, len(c.order)),
-			lines: make([]Line, len(c.lines)),
+			meta:  make([]uint8, len(c.meta)),
 		}
 	}
 	copy(s.tags, c.tags)
 	copy(s.valid, c.valid)
 	copy(s.order, c.order)
-	copy(s.lines, c.lines)
+	copy(s.meta, c.meta)
 	s.fills, s.hits, s.misses = c.fills, c.Hits, c.Misses
 	return s
 }
@@ -331,13 +398,14 @@ func (c *Cache) Snapshot(reuse *State) *State {
 // cache with identical geometry. It panics on a size mismatch, since
 // restoring across geometries is always a caller bug.
 func (c *Cache) Restore(s *State) {
-	if len(s.tags) != len(c.tags) || len(s.valid) != len(c.valid) {
+	if len(s.tags) != len(c.tags) || len(s.valid) != len(c.valid) ||
+		len(s.order) != len(c.order) || len(s.meta) != len(c.meta) {
 		panic(fmt.Sprintf("cache %q: restoring snapshot of different geometry", c.cfg.Name))
 	}
 	copy(c.tags, s.tags)
 	copy(c.valid, s.valid)
 	copy(c.order, s.order)
-	copy(c.lines, s.lines)
+	copy(c.meta, s.meta)
 	c.fills, c.Hits, c.Misses = s.fills, s.hits, s.misses
 }
 

@@ -2,96 +2,46 @@ package cache
 
 // Durable-state codecs. Checkpointing serializes live caches, dueling
 // monitors, and MSHR tables into the wire format; the codecs live here
-// because State's arrays and Line.rrpv are unexported by design. The
-// layout is pinned by the checkpoint format version one level up — no
+// because State's arrays are unexported by design. The layout is pinned
+// by the machine and profile payload versions one level up — no
 // per-structure versioning is needed.
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/checkpoint/wire"
 )
 
-// Line flag bits in the encoded form. rrpv (2 bits) occupies bits 4-5.
-const (
-	lineValid  = 1 << 0
-	lineDirty  = 1 << 1
-	lineLoop   = 1 << 2
-	lineShared = 1 << 3
-	lineRRPVSh = 4
-)
-
 // encodeCacheArrays is the shared layout behind Cache.EncodeSnapshot
 // and State.Encode: live caches and detached snapshots hold the same
-// arrays.
-func encodeCacheArrays(e *wire.Encoder, tags, valid []uint64, order []uint8, lines []Line, fills int, hits, misses uint64) {
+// arrays. The per-line state bytes are written raw.
+func encodeCacheArrays(e *wire.Encoder, tags, valid []uint64, order, meta []uint8, fills int, hits, misses uint64) {
 	e.U64s(tags)
 	e.U64s(valid)
 	e.Raw(order)
-	e.U64(uint64(len(lines)))
-	for i := range lines {
-		l := &lines[i]
-		e.U64(l.Tag)
-		var f byte
-		if l.Valid {
-			f |= lineValid
-		}
-		if l.Dirty {
-			f |= lineDirty
-		}
-		if l.Loop {
-			f |= lineLoop
-		}
-		if l.Shared {
-			f |= lineShared
-		}
-		f |= l.rrpv << lineRRPVSh
-		e.Byte(f)
-	}
+	e.Raw(meta)
 	e.I64(int64(fills))
 	e.U64(hits)
 	e.U64(misses)
 }
 
-func decodeLines(d *wire.Decoder) []Line {
-	n := d.Length(2) // each line is ≥ 2 bytes (tag uvarint + flags)
-	if d.Err() != nil {
-		return nil
-	}
-	lines := make([]Line, n)
-	for i := range lines {
-		l := &lines[i]
-		l.Tag = d.U64()
-		f := d.Byte()
-		l.Valid = f&lineValid != 0
-		l.Dirty = f&lineDirty != 0
-		l.Loop = f&lineLoop != 0
-		l.Shared = f&lineShared != 0
-		l.rrpv = f >> lineRRPVSh
-	}
-	if d.Err() != nil {
-		return nil
-	}
-	return lines
-}
-
 // EncodeSnapshot appends the cache's full contents — tags, valid bits,
-// recency order, line metadata, and hit/miss counters — to e.
+// recency order, line state bytes, and hit/miss counters — to e.
 func (c *Cache) EncodeSnapshot(e *wire.Encoder) {
-	encodeCacheArrays(e, c.tags, c.valid, c.order, c.lines, c.fills, c.Hits, c.Misses)
+	encodeCacheArrays(e, c.tags, c.valid, c.order, c.meta, c.fills, c.Hits, c.Misses)
 }
 
 // RestoreSnapshot overwrites the cache's contents from a snapshot
-// written by EncodeSnapshot on a cache of identical geometry. A
-// geometry mismatch or malformed input returns an error and may leave
-// the cache partially restored; callers discard the machine on error.
+// written by EncodeSnapshot on a cache of identical geometry. Malformed
+// input or a geometry mismatch returns an error and leaves the cache
+// untouched.
 func (c *Cache) RestoreSnapshot(d *wire.Decoder) error {
 	s, err := DecodeSnapshotState(d)
 	if err != nil {
 		return err
 	}
-	if len(s.tags) != len(c.tags) || len(s.valid) != len(c.valid) ||
-		len(s.order) != len(c.order) || len(s.lines) != len(c.lines) {
+	if len(s.tags) != len(c.tags) || len(s.valid) != len(c.valid) {
 		return fmt.Errorf("cache %q: snapshot geometry mismatch", c.cfg.Name)
 	}
 	c.Restore(s)
@@ -101,16 +51,18 @@ func (c *Cache) RestoreSnapshot(d *wire.Decoder) error {
 // Encode appends a detached snapshot to e in the same layout as
 // Cache.EncodeSnapshot.
 func (s *State) Encode(e *wire.Encoder) {
-	encodeCacheArrays(e, s.tags, s.valid, s.order, s.lines, s.fills, s.hits, s.misses)
+	encodeCacheArrays(e, s.tags, s.valid, s.order, s.meta, s.fills, s.hits, s.misses)
 }
 
-// DecodeSnapshotState reads one cache snapshot into a detached State.
+// DecodeSnapshotState reads one cache snapshot into a detached State,
+// rejecting any payload whose arrays do not describe a reachable cache
+// state (see validate).
 func DecodeSnapshotState(d *wire.Decoder) (*State, error) {
 	s := &State{
 		tags:  d.U64s(),
 		valid: d.U64s(),
 		order: d.Raw(),
-		lines: decodeLines(d),
+		meta:  d.Raw(),
 	}
 	s.fills = int(d.I64())
 	s.hits = d.U64()
@@ -118,7 +70,59 @@ func DecodeSnapshotState(d *wire.Decoder) (*State, error) {
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
+	if err := s.validate(); err != nil {
+		return nil, err
+	}
 	return s, nil
+}
+
+// validate checks the structural invariants every live cache keeps, so
+// that a CRC-valid but inconsistent payload fails at decode time instead
+// of panicking mid-run: array lengths agree with one associativity, each
+// set's recency order is a permutation of its ways, the fill count
+// matches the valid bits, and an invalid way holds a zero tag and a zero
+// state byte. State bytes may only use the defined Meta bits.
+func (s *State) validate() error {
+	sets := len(s.valid)
+	if sets == 0 || len(s.tags)%sets != 0 {
+		return fmt.Errorf("cache: snapshot has %d tags for %d sets", len(s.tags), sets)
+	}
+	ways := len(s.tags) / sets
+	if ways < 1 || ways > 64 {
+		return fmt.Errorf("cache: snapshot associativity %d out of range", ways)
+	}
+	if len(s.order) != len(s.tags) || len(s.meta) != len(s.tags) {
+		return fmt.Errorf("cache: snapshot has %d tags, %d order bytes, %d state bytes",
+			len(s.tags), len(s.order), len(s.meta))
+	}
+	fills := 0
+	for set, vm := range s.valid {
+		if ways < 64 && vm>>uint(ways) != 0 {
+			return fmt.Errorf("cache: snapshot set %d has valid bits beyond way %d", set, ways-1)
+		}
+		fills += bits.OnesCount64(vm)
+		base := set * ways
+		var seen uint64
+		for _, w := range s.order[base : base+ways] {
+			if int(w) >= ways || seen&(1<<w) != 0 {
+				return fmt.Errorf("cache: snapshot set %d recency order is not a permutation", set)
+			}
+			seen |= 1 << w
+		}
+		for w := 0; w < ways; w++ {
+			m := Meta(s.meta[base+w])
+			if m&^metaUsed != 0 {
+				return fmt.Errorf("cache: snapshot line (%d,%d) state byte %#x has undefined bits", set, w, uint8(m))
+			}
+			if vm&(1<<uint(w)) == 0 && (s.tags[base+w] != 0 || m != 0) {
+				return fmt.Errorf("cache: snapshot invalid line (%d,%d) carries a tag or state", set, w)
+			}
+		}
+	}
+	if fills != s.fills {
+		return fmt.Errorf("cache: snapshot fill count %d, valid bits hold %d", s.fills, fills)
+	}
+	return nil
 }
 
 // DuelState is the mutable portion of a set-dueling monitor, exported

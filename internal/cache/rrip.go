@@ -36,9 +36,10 @@ func (r Replacement) String() string {
 	return "LRU"
 }
 
-// rripVictimIn returns the SRRIP victim in [lo, hi): an invalid way if
-// any, else the first way at the maximum RRPV, ageing the range until one
-// exists.
+// rripVictimIn returns the SRRIP victim in [lo, hi): the first way, in
+// way order, that is invalid or at the maximum RRPV, ageing the range
+// until one exists. A distant line at a lower way therefore wins over an
+// invalid way above it.
 func (c *Cache) rripVictimIn(set, lo, hi int) int {
 	if lo >= hi {
 		panic("cache: empty victim range")
@@ -50,21 +51,28 @@ func (c *Cache) rripVictimIn(set, lo, hi int) int {
 			if vm&(1<<uint(w)) == 0 {
 				return w
 			}
-			if c.lines[base+w].rrpv >= rrpvMax {
+			if Meta(c.meta[base+w]).rrpv() >= rrpvMax {
 				return w
 			}
 		}
-		for w := lo; w < hi; w++ {
-			if c.lines[base+w].rrpv < rrpvMax {
-				c.lines[base+w].rrpv++
-			}
+		c.ageIn(base, lo, hi)
+	}
+}
+
+// ageIn advances every line in [lo, hi) of the set starting at base one
+// step towards a distant re-reference prediction.
+func (c *Cache) ageIn(base, lo, hi int) {
+	for w := lo; w < hi; w++ {
+		if m := (*Meta)(&c.meta[base+w]); m.rrpv() < rrpvMax {
+			m.setRRPV(m.rrpv() + 1)
 		}
 	}
 }
 
-// rripLoopAwareVictimIn is the loop-block-aware SRRIP victim: an invalid
-// way, else the most-distant non-loop-block, else the most-distant
-// loop-block (ageing as needed).
+// rripLoopAwareVictimIn is the loop-block-aware SRRIP victim: the first
+// way, in way order, that is invalid or a distant non-loop-block; when
+// the range holds only loop-blocks, the first distant loop-block (ageing
+// as needed).
 func (c *Cache) rripLoopAwareVictimIn(set, lo, hi int) int {
 	if lo >= hi {
 		panic("cache: empty victim range")
@@ -74,12 +82,12 @@ func (c *Cache) rripLoopAwareVictimIn(set, lo, hi int) int {
 	for {
 		bestLoop := -1
 		for w := lo; w < hi; w++ {
-			l := &c.lines[base+w]
+			m := Meta(c.meta[base+w])
 			if vm&(1<<uint(w)) == 0 {
 				return w
 			}
-			if l.rrpv >= rrpvMax {
-				if !l.Loop {
+			if m.rrpv() >= rrpvMax {
+				if !m.Loop() {
 					return w
 				}
 				if bestLoop < 0 {
@@ -91,7 +99,7 @@ func (c *Cache) rripLoopAwareVictimIn(set, lo, hi int) int {
 		// every line is a loop-block, fall back to the distant loop-block.
 		anyNonLoop := false
 		for w := lo; w < hi; w++ {
-			if !c.lines[base+w].Loop {
+			if !Meta(c.meta[base+w]).Loop() {
 				anyNonLoop = true
 				break
 			}
@@ -99,11 +107,7 @@ func (c *Cache) rripLoopAwareVictimIn(set, lo, hi int) int {
 		if !anyNonLoop && bestLoop >= 0 {
 			return bestLoop
 		}
-		for w := lo; w < hi; w++ {
-			if c.lines[base+w].rrpv < rrpvMax {
-				c.lines[base+w].rrpv++
-			}
-		}
+		c.ageIn(base, lo, hi)
 	}
 }
 
@@ -132,4 +136,4 @@ func (c *Cache) LoopVictimInRange(set, lo, hi int) int {
 }
 
 // RRPV exposes a line's re-reference prediction value for tests.
-func (c *Cache) RRPV(set, way int) uint8 { return c.lines[set*c.ways+way].rrpv }
+func (c *Cache) RRPV(set, way int) uint8 { return Meta(c.meta[set*c.ways+way]).rrpv() }

@@ -66,7 +66,7 @@ func (c *Hybrid) EvictL2(x *Ctx, v cache.Line) {
 	set := x.L3.SetOf(v.Tag)
 	sram := x.L3.SRAMWays()
 	if w := x.L3.Probe(v.Tag); w >= 0 {
-		l := x.L3.Line(set, w)
+		m := x.L3.Meta(set, w)
 		if v.Dirty {
 			if c.winv && !x.L3.IsSRAMWay(w) {
 				// Fig. 11a: invalidate the STT-RAM copy and write the
@@ -78,15 +78,15 @@ func (c *Hybrid) EvictL2(x *Ctx, v cache.Line) {
 				c.place(x, v.Tag, true, v.Loop, SrcDirty)
 				return
 			}
-			l.Dirty = true
-			l.Loop = v.Loop
+			m.SetDirty(true)
+			m.SetLoop(v.Loop)
 			x.L3.Touch(set, w)
 			x.dataWrite(set, w)
 			x.Met.AddWrite(SrcDirty)
 			return
 		}
 		// Clean victim with a duplicate: tag-only loop-bit refresh (LAP).
-		l.Loop = v.Loop
+		m.SetLoop(v.Loop)
 		x.L3.Touch(set, w)
 		x.tagAccess()
 		x.Met.TagOnlyUpdates++
@@ -138,7 +138,7 @@ func (c *Hybrid) placeFull(x *Ctx, block uint64, dirty, loop bool, src WriteSour
 		c.installAt(x, set, w, block, dirty, loop, src)
 		return
 	}
-	mruLoop := x.L3.MRUWhere(set, 0, sram, func(l *cache.Line) bool { return l.Loop })
+	mruLoop := x.L3.MRULoopIn(set, 0, sram)
 	switch {
 	case mruLoop >= 0:
 		// Fig. 11b: migrate the MRU loop-block to STT-RAM, then reuse its

@@ -112,11 +112,11 @@ func (c *LAP) EvictL2(x *Ctx, v cache.Line) {
 	x.tagAccess()
 	set := x.L3.SetOf(v.Tag)
 	if w := x.L3.Probe(v.Tag); w >= 0 {
-		l := x.L3.Line(set, w)
+		m := x.L3.Meta(set, w)
 		if v.Dirty {
 			// Dirty data and loop-bit are both updated in place.
-			l.Dirty = true
-			l.Loop = v.Loop
+			m.SetDirty(true)
+			m.SetLoop(v.Loop)
 			x.L3.Touch(set, w)
 			x.dataWrite(set, w)
 			x.Met.AddWrite(SrcDirty)
@@ -124,7 +124,7 @@ func (c *LAP) EvictL2(x *Ctx, v cache.Line) {
 		}
 		// Clean victim with a duplicate: drop the data, refresh only the
 		// loop-bit in the SRAM tag array — the write LAP exists to avoid.
-		l.Loop = v.Loop
+		m.SetLoop(v.Loop)
 		x.L3.Touch(set, w)
 		x.tagAccess()
 		x.Met.TagOnlyUpdates++

@@ -50,8 +50,7 @@ func (*NonInclusive) EvictL2(x *Ctx, v cache.Line) {
 	x.tagAccess()
 	if w := x.L3.Probe(v.Tag); w >= 0 {
 		set := x.L3.SetOf(v.Tag)
-		l := x.L3.Line(set, w)
-		l.Dirty = true
+		x.L3.Meta(set, w).SetDirty(true)
 		x.L3.Touch(set, w)
 		x.dataWrite(set, w)
 		x.Met.AddWrite(SrcDirty)
@@ -103,9 +102,9 @@ func (*Exclusive) EvictL2(x *Ctx, v cache.Line) {
 	x.tagAccess()
 	if w := x.L3.Probe(v.Tag); w >= 0 {
 		set := x.L3.SetOf(v.Tag)
-		l := x.L3.Line(set, w)
-		l.Dirty = l.Dirty || v.Dirty
-		l.Loop = v.Loop
+		m := x.L3.Meta(set, w)
+		m.SetDirty(m.Dirty() || v.Dirty)
+		m.SetLoop(v.Loop)
 		x.L3.Touch(set, w)
 		x.dataWrite(set, w)
 		x.Met.AddWrite(src)

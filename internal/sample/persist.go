@@ -25,7 +25,7 @@ import (
 
 // profilePayloadVersion stamps the profile payload layout inside the
 // store's (separately versioned) file envelope.
-const profilePayloadVersion = 1
+const profilePayloadVersion = 2
 
 // Encode serializes the profile's signatures and cache-state snapshots
 // (everything except the source checkpoints, which are positional).

@@ -2,8 +2,10 @@ package sample
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/core"
 )
 
@@ -82,5 +84,57 @@ func TestProfileDecodeRejectsBadPayloads(t *testing.T) {
 	}
 	if _, err := DecodeProfile(nil, testSources(2, 21000)); err == nil {
 		t.Fatal("empty payload did not error")
+	}
+}
+
+// TestProfileOldPayloadVersionRebuilt pins the layout-change contract: a
+// persisted profile written at an earlier payload version (an older
+// cache-state encoding) is refused with a version error, dropped from
+// the store, and rebuilt cold; the rebuilt profile is persisted at the
+// current version.
+func TestProfileOldPayloadVersionRebuilt(t *testing.T) {
+	cfg := testCfg()
+	const total = 21000
+	orig, err := BuildProfile(cfg, testSources(2, total), 2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := orig.Encode()
+	old[0] = profilePayloadVersion - 1
+	if _, err := DecodeProfile(old, testSources(2, total)); err == nil || !strings.Contains(err.Error(), "payload v") {
+		t.Fatalf("old payload version: err = %v, want a version error", err)
+	}
+
+	st, err := checkpoint.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := checkpoint.ProfileKey(cfg, "phasey")
+	if err := st.Put(key, checkpoint.Entry{Interval: uint64(len(orig.Intervals)), Payload: old}); err != nil {
+		t.Fatal(err)
+	}
+	codec := checkpoint.ProfileCodec[*Profile]{
+		Encode: func(p *Profile) []byte { return p.Encode() },
+		Decode: func(b []byte) (*Profile, error) { return DecodeProfile(b, testSources(2, total)) },
+	}
+	prof, built, err := checkpoint.LoadOrBuildProfile(st, key,
+		func(p *Profile) uint64 { return uint64(len(p.Intervals)) }, codec,
+		func() (*Profile, error) { return BuildProfile(cfg, testSources(2, total), 2000) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !built || st.Metrics().Restores() != 0 || st.Metrics().Corrupt() != 1 {
+		t.Fatalf("old-version profile was not rebuilt cold: built=%v restores=%d corrupt=%d",
+			built, st.Metrics().Restores(), st.Metrics().Corrupt())
+	}
+	if !reflect.DeepEqual(prof.Intervals, orig.Intervals) {
+		t.Fatal("rebuilt profile diverged from the original")
+	}
+	ent, err := st.Latest(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ent.Payload[0] != profilePayloadVersion {
+		t.Fatalf("re-persisted profile has payload version %d, want %d", ent.Payload[0], profilePayloadVersion)
 	}
 }

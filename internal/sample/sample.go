@@ -53,9 +53,10 @@ type Profile struct {
 }
 
 // maxStateSnapshots bounds how many cache-hierarchy snapshots a profile
-// retains. At the paper's default geometry one snapshot is ~4 MB (the
-// 8 MB LLC's metadata dominates), so a profile tops out around 70 MB of
-// state regardless of how many intervals it spans.
+// retains. At the paper's default geometry one snapshot holds 1,761,280
+// bytes of arrays (the 8 MB LLC's 1.38 MB of tags, valid bits, recency
+// order and one state byte per line dominates), so a profile tops out
+// around 28 MB of state regardless of how many intervals it spans.
 const maxStateSnapshots = 16
 
 // ErrNotForkable reports sources that do not implement trace.Forker;

@@ -163,10 +163,11 @@ const (
 	defaultBreakerCooldown  = 5 * time.Second
 	defaultTraceRequests    = 64
 	defaultCheckpointEvery  = 1_000_000
-	// Profiles carry cache-hierarchy snapshots (~70 MB each at the
-	// paper's default geometry — see sample.Profile), so the profile
-	// cache is kept much smaller than the result memo: 8 entries bound
-	// it near half a gigabyte while still covering a sweep's mix set.
+	// Profiles carry cache-hierarchy snapshots (up to ~28 MB each at
+	// the paper's default geometry — see sample.Profile), so the
+	// profile cache is kept much smaller than the result memo: 8 entries
+	// bound it near a quarter of a gigabyte while still covering a
+	// sweep's mix set.
 	defaultProfileEntries = 8
 )
 

@@ -29,7 +29,7 @@ import (
 // machinePayloadVersion pins the layout of the machine-state payload
 // inside a checkpoint entry (the store's FormatVersion pins the
 // envelope).
-const machinePayloadVersion = 1
+const machinePayloadVersion = 2
 
 // CheckpointSink receives one encoded machine snapshot per checkpoint
 // boundary. interval is the boundary ordinal (seen/CheckpointEvery),

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -132,5 +133,30 @@ func TestCheckpointIneligibleConfigsRunCold(t *testing.T) {
 	}
 	if res.Cycles == 0 {
 		t.Fatal("ineligible run produced no result")
+	}
+}
+
+// TestCheckpointOldPayloadVersionRefused pins the layout-change contract:
+// a machine payload stamped with an earlier payload version (an older
+// cache-state encoding) is refused with a version error before any state
+// is applied, so the caller runs cold.
+func TestCheckpointOldPayloadVersionRefused(t *testing.T) {
+	mix := workload.TableIII()[0]
+	cfg := ckTestConfig()
+	var payload []byte
+	srcs, _ := MixSources(mix, 15_000, 1)
+	if _, err := RunCheckpointed(cfg, core.NewLAP(), srcs, nil, func(_, _ uint64, p []byte) {
+		payload = append(payload[:0], p...)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if payload == nil || payload[0] != machinePayloadVersion {
+		t.Fatal("no current-version checkpoint captured")
+	}
+	payload[0] = machinePayloadVersion - 1
+	srcs, _ = MixSources(mix, 15_000, 1)
+	_, err := RunCheckpointed(cfg, core.NewLAP(), srcs, payload, nil)
+	if err == nil || !strings.Contains(err.Error(), "payload version") {
+		t.Fatalf("old payload version: err = %v, want a version error", err)
 	}
 }
