@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-json alloc-gate chaos ci lapbench-test obs-smoke policy-smoke quick resume-smoke sample-smoke serve serve-smoke trace-smoke
+.PHONY: all build test race bench bench-ab bench-json alloc-gate chaos ci lapbench-test obs-smoke policy-smoke quick resume-smoke sample-smoke serve serve-smoke trace-smoke
 
 all: build
 
@@ -33,6 +33,18 @@ bench-json:
 	( $(GO) test -bench $(BENCH_SUITE) -benchmem -benchtime=1x -run '^$$' . && \
 	  $(GO) test -bench BenchmarkAccessAllocs -benchmem -benchtime=200000x -run '^$$' ./internal/sim ) \
 		| $(GO) run ./cmd/benchjson -label $(LABEL) -rev $$(git rev-parse --short HEAD) -o BENCH_sim.json
+
+# A/B comparison on the repository benchmark: exports BASE with git
+# archive, alternates `bash lapbench/run.sh` between it and the working
+# tree for PAIRS pairs (swapping which side runs first) at the run length
+# BENCHMARK.json fixes, and prints each end-to-end metric's medians,
+# quartiles and pair wins (see cmd/benchab). It reports; it gates nothing.
+WORKLOAD ?= artifact-quick
+PAIRS ?= 10
+BASE ?= HEAD
+SEED ?= 1
+bench-ab:
+	$(GO) run ./cmd/benchab -workload $(WORKLOAD) -pairs $(PAIRS) -base $(BASE) -seed $(SEED)
 
 # The zero-alloc regression gate: the steady-state access path must not
 # allocate. TestAccessAllocsZero enforces it per controller; the awk pass

@@ -161,7 +161,7 @@ func BenchmarkCacheLookup(b *testing.B) {
 	c := cache.New(cache.Config{Name: "L3", SizeBytes: 8 << 20, Ways: 16, BlockBytes: 64})
 	for blk := uint64(0); blk < 1<<17; blk++ {
 		set := c.SetOf(blk)
-		c.InsertAt(set, c.LRUVictim(set), blk, false, blk%3 == 0)
+		c.InsertAt(set, c.LRUVictim(set), blk, false, blk%3 == 0, false)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -175,7 +175,7 @@ func BenchmarkLoopAwareVictim(b *testing.B) {
 	c := cache.New(cache.Config{Name: "L3", SizeBytes: 8 << 20, Ways: 16, BlockBytes: 64})
 	for blk := uint64(0); blk < 1<<17; blk++ {
 		set := c.SetOf(blk)
-		c.InsertAt(set, c.LRUVictim(set), blk, blk%2 == 0, blk%3 == 0)
+		c.InsertAt(set, c.LRUVictim(set), blk, blk%2 == 0, blk%3 == 0, false)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

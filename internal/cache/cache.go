@@ -24,10 +24,10 @@ import (
 )
 
 // Line is one cache block's contents as seen through the public API: a
-// value assembled on demand from the packed arrays by Line, Evict and
-// Invalidate, never stored. The simulator is trace-driven, so no data
-// payload exists; Tag holds the full block number, which both identifies
-// the block and lets a line be re-expanded to its address. Changing a
+// value assembled on demand from the packed arrays by Line, InsertAt,
+// Evict and Invalidate, never stored. The simulator is trace-driven, so
+// no data payload exists; Tag holds the full block number, which both
+// identifies the block and lets a line be re-expanded to its address. Changing a
 // resident line's flags goes through its Meta handle.
 type Line struct {
 	// Tag is the block number stored in this line.
@@ -275,7 +275,11 @@ func (c *Cache) moveToMRU(set, way int) {
 	}
 	for i, v := range ord {
 		if v == w {
-			copy(ord[i:], ord[i+1:])
+			// A byte loop, not copy: the shift is at most a few bytes,
+			// below the length where a memmove call pays for itself.
+			for ; i < last; i++ {
+				ord[i] = ord[i+1]
+			}
 			ord[last] = w
 			return
 		}
@@ -299,12 +303,17 @@ func (c *Cache) Stamp(set, way int) uint64 {
 	panic("cache: way missing from recency ordering")
 }
 
-// InsertAt places a block into (set, way), overwriting whatever was there,
-// and promotes it to MRU. The caller is responsible for having evicted the
-// previous occupant (see Evict).
-func (c *Cache) InsertAt(set, way int, block uint64, dirty, loop bool) {
+// InsertAt places a block into (set, way) with the given dirty, loop and
+// shared bits and promotes it to MRU. It evicts whatever occupied the way
+// and returns that line (Valid false when the way was empty), so callers
+// do not call Evict first: they pick the way, insert, and then handle the
+// returned victim (writeback, inclusion bookkeeping).
+func (c *Cache) InsertAt(set, way int, block uint64, dirty, loop, shared bool) Line {
 	idx := set*c.ways + way
-	if bit := uint64(1) << uint(way); c.valid[set]&bit == 0 {
+	var old Line
+	if bit := uint64(1) << uint(way); c.valid[set]&bit != 0 {
+		old = c.resident(idx)
+	} else {
 		c.valid[set] |= bit
 		c.fills++
 	}
@@ -312,15 +321,19 @@ func (c *Cache) InsertAt(set, way int, block uint64, dirty, loop bool) {
 	var m Meta
 	m.SetDirty(dirty)
 	m.SetLoop(loop)
+	m.SetShared(shared)
 	if c.cfg.Replacement == ReplRRIP {
 		m.setRRPV(rrpvInsert)
 	}
 	c.meta[idx] = uint8(m)
 	c.moveToMRU(set, way)
+	return old
 }
 
 // Evict invalidates (set, way) and returns the previous contents. The
-// second result is false if the line was already invalid.
+// second result is false if the line was already invalid. It is for
+// removals that place nothing in the way (invalidate-on-hit, migration
+// sources); a replacement goes through InsertAt, which evicts itself.
 func (c *Cache) Evict(set, way int) (Line, bool) {
 	bit := uint64(1) << uint(way)
 	if c.valid[set]&bit == 0 {

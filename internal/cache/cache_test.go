@@ -48,7 +48,7 @@ func TestLookupInsertInvalidate(t *testing.T) {
 	}
 	set := c.SetOf(100)
 	w := c.LRUVictim(set)
-	c.InsertAt(set, w, 100, false, false)
+	c.InsertAt(set, w, 100, false, false, false)
 	if c.Lookup(100) < 0 {
 		t.Fatal("miss after insert")
 	}
@@ -75,7 +75,7 @@ func TestLRUVictimOrder(t *testing.T) {
 		if c.SetOf(b) != set {
 			t.Fatalf("block %d maps to set %d", b, c.SetOf(b))
 		}
-		c.InsertAt(set, c.LRUVictim(set), b, false, false)
+		c.InsertAt(set, c.LRUVictim(set), b, false, false, false)
 	}
 	// Touch everything except block 19; it becomes the LRU victim.
 	c.Lookup(3)
@@ -91,10 +91,10 @@ func TestLoopAwareVictimPriority(t *testing.T) {
 	c := small()
 	set := 0
 	// way 0: loop-block (oldest), way 1: non-loop, way 2: loop, way 3: non-loop (newest).
-	c.InsertAt(set, 0, 0, false, true)
-	c.InsertAt(set, 1, 16, false, false)
-	c.InsertAt(set, 2, 32, false, true)
-	c.InsertAt(set, 3, 48, true, false)
+	c.InsertAt(set, 0, 0, false, true, false)
+	c.InsertAt(set, 1, 16, false, false, false)
+	c.InsertAt(set, 2, 32, false, true, false)
+	c.InsertAt(set, 3, 48, true, false, false)
 	// LRU non-loop-block is way 1 even though way 0 is older overall.
 	if v := c.LoopAwareVictim(set); v != 1 {
 		t.Fatalf("loop-aware victim = way %d, want 1 (LRU non-loop)", v)
@@ -113,8 +113,8 @@ func TestLoopAwareVictimPriority(t *testing.T) {
 
 func TestLoopAwareVictimPrefersInvalid(t *testing.T) {
 	c := small()
-	c.InsertAt(0, 0, 0, false, false)
-	c.InsertAt(0, 2, 32, false, false)
+	c.InsertAt(0, 0, 0, false, false, false)
+	c.InsertAt(0, 2, 32, false, false, false)
 	if v := c.LoopAwareVictim(0); v != 1 && v != 3 {
 		t.Fatalf("victim = way %d, want an invalid way", v)
 	}
@@ -127,7 +127,7 @@ func TestVictimInRange(t *testing.T) {
 	c := New(Config{Name: "h", SizeBytes: 16 * 64 * 4, Ways: 16, BlockBytes: 64, SRAMWays: 4})
 	set := 0
 	for w := 0; w < 16; w++ {
-		c.InsertAt(set, w, uint64(w*c.NumSets()), false, w%2 == 0)
+		c.InsertAt(set, w, uint64(w*c.NumSets()), false, w%2 == 0, false)
 	}
 	if v := c.VictimIn(set, 0, 4); v < 0 || v >= 4 {
 		t.Fatalf("SRAM-region victim out of range: %d", v)
@@ -159,9 +159,9 @@ func TestVictimEmptyRangePanics(t *testing.T) {
 
 func TestMRULoopIn(t *testing.T) {
 	c := small()
-	c.InsertAt(0, 0, 0, false, true)
-	c.InsertAt(0, 1, 16, false, false)
-	c.InsertAt(0, 2, 32, false, true) // most recent loop-block
+	c.InsertAt(0, 0, 0, false, true, false)
+	c.InsertAt(0, 1, 16, false, false, false)
+	c.InsertAt(0, 2, 32, false, true, false) // most recent loop-block
 	if w := c.MRULoopIn(0, 0, 4); w != 2 {
 		t.Fatalf("MRU loop-block way = %d, want 2", w)
 	}
@@ -176,7 +176,7 @@ func TestInvalidWayIn(t *testing.T) {
 		t.Fatalf("first invalid way = %d", w)
 	}
 	for w := 0; w < 4; w++ {
-		c.InsertAt(0, w, uint64(w*16), false, false)
+		c.InsertAt(0, w, uint64(w*16), false, false, false)
 	}
 	if w := c.InvalidWayIn(0, 0, 4); w != -1 {
 		t.Fatalf("full set reported invalid way %d", w)
@@ -185,7 +185,7 @@ func TestInvalidWayIn(t *testing.T) {
 
 func TestEvictReturnsContents(t *testing.T) {
 	c := small()
-	c.InsertAt(5, 2, 5+16, true, true)
+	c.InsertAt(5, 2, 5+16, true, true, false)
 	l, ok := c.Evict(5, 2)
 	if !ok || l.Tag != 21 || !l.Dirty || !l.Loop {
 		t.Fatalf("evicted line = %+v ok=%v", l, ok)
@@ -197,7 +197,7 @@ func TestEvictReturnsContents(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	c := small()
-	c.InsertAt(0, 0, 0, true, false)
+	c.InsertAt(0, 0, 0, true, false, false)
 	c.Lookup(0)
 	c.Lookup(999)
 	c.Reset()
@@ -217,7 +217,7 @@ func TestPropertyOccupancyBounded(t *testing.T) {
 			b := rng.Uint64() % 4096
 			if c.Lookup(b) < 0 {
 				set := c.SetOf(b)
-				c.InsertAt(set, c.LRUVictim(set), b, rng.IntN(2) == 0, rng.IntN(2) == 0)
+				c.InsertAt(set, c.LRUVictim(set), b, rng.IntN(2) == 0, rng.IntN(2) == 0, false)
 			}
 		}
 		return c.FillCount() <= c.NumSets()*c.Ways()
@@ -236,7 +236,7 @@ func TestPropertyProbeConsistent(t *testing.T) {
 		for i := 0; i < 500; i++ {
 			b := rng.Uint64() % 1024
 			set := c.SetOf(b)
-			c.InsertAt(set, c.LRUVictim(set), b, false, false)
+			c.InsertAt(set, c.LRUVictim(set), b, false, false, false)
 			w := c.Probe(b)
 			if w < 0 || c.Line(set, w).Tag != b {
 				return false
@@ -257,7 +257,7 @@ func TestPropertyLRUMinStamp(t *testing.T) {
 		c := small()
 		set := int(seed % 16)
 		for w := 0; w < 4; w++ {
-			c.InsertAt(set, w, uint64(w*16+set), false, false)
+			c.InsertAt(set, w, uint64(w*16+set), false, false, false)
 		}
 		for i := 0; i < 20; i++ {
 			c.Touch(set, rng.IntN(4))

@@ -99,9 +99,9 @@ func (r *refCache) evict(set, way int) (Line, bool) {
 	return Line{Tag: b.tag, Valid: true, Dirty: b.dirty, Loop: b.loop, Shared: b.shared}, true
 }
 
-func (r *refCache) insert(set, way int, block uint64, dirty, loop bool) {
+func (r *refCache) insert(set, way int, block uint64, dirty, loop, shared bool) {
 	r.evict(set, way)
-	b := refBlock{way: way, tag: block, dirty: dirty, loop: loop}
+	b := refBlock{way: way, tag: block, dirty: dirty, loop: loop, shared: shared}
 	if r.rrip {
 		b.rrpv = rrpvInsert
 	}
@@ -236,9 +236,10 @@ const (
 // the same random operation sequence on tiny geometries (1-4 sets, 1-8
 // ways, optionally split into SRAM/STT-RAM regions, LRU or RRIP) and
 // requires every observable to agree after every step: probe and lookup
-// ways, evicted lines, every victim selector, the MRU loop-block scan,
-// invalid-way search, fill and hit/miss counts, per-line state, and the
-// recency order of resident lines. Snapshot ops round-trip the cache
+// ways, evicted lines (including the victim InsertAt returns), every
+// victim selector (the whole-set LRUVictim included), the MRU loop-block
+// scan, invalid-way search, fill and hit/miss counts, per-line state, and
+// the recency order of resident lines. Snapshot ops round-trip the cache
 // through the wire codec (or a detached State) and continue on the
 // restored copy, so codec loss shows up as a later divergence.
 func FuzzCacheDifferential(f *testing.F) {
@@ -326,14 +327,15 @@ func FuzzCacheDifferential(f *testing.F) {
 				if got != want {
 					t.Fatalf("%s: victim kind %d in [%d,%d) of set %d = %d, reference %d", desc, sel%4, lo, hi, set, got, want)
 				}
-				gl, gok := c.Evict(set, got)
-				wl, wok := ref.evict(set, want)
-				if gok != wok || (gok && !sameLine(gl, wl)) {
-					t.Fatalf("%s: victim line %+v/%v, reference %+v/%v", desc, gl, gok, wl, wok)
+				// InsertAt evicts the occupant itself and returns it,
+				// flags included; an empty way returns the zero Line.
+				dirty, loop, shared := flags&1 != 0, flags&2 != 0, flags&4 != 0
+				gl := c.InsertAt(set, got, b, dirty, loop, shared)
+				wl, _ := ref.evict(set, want)
+				if !sameLine(gl, wl) {
+					t.Fatalf("%s: InsertAt at (%d,%d) returned %+v, reference evicted %+v", desc, set, got, gl, wl)
 				}
-				dirty, loop := flags&1 != 0, flags&2 != 0
-				c.InsertAt(set, got, b, dirty, loop)
-				ref.insert(set, want, b, dirty, loop)
+				ref.insert(set, want, b, dirty, loop, shared)
 			case opEvict:
 				set, way := in.next()%sets, in.next()%ways
 				gl, gok := c.Evict(set, way)
@@ -450,6 +452,11 @@ func compareState(t *testing.T, desc string, c *Cache, ref *refCache) {
 			if got := c.RRPV(set, way); got != rrpv {
 				t.Fatalf("%s: RRPV(%d,%d) = %d, reference %d", desc, set, way, got, rrpv)
 			}
+		}
+		// The whole-set LRU victim reads the valid mask and one order
+		// byte; it must pick what the range scan and the reference pick.
+		if got, scan, want := c.LRUVictim(set), c.VictimIn(set, 0, ref.ways), ref.lruVictim(set, 0, ref.ways, false); got != scan || got != want {
+			t.Fatalf("%s: LRUVictim(%d) = %d, VictimIn %d, reference %d", desc, set, got, scan, want)
 		}
 		// Resident lines must rank in the reference's list order.
 		for i := 1; i < len(ref.sets[set]); i++ {

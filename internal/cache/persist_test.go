@@ -16,7 +16,7 @@ func warmState(t *testing.T) (*Cache, *State) {
 		set := c.SetOf(b)
 		w := c.VictimInRange(set, 0, c.Ways())
 		c.Evict(set, w)
-		c.InsertAt(set, w, b, b%3 == 0, b%2 == 0)
+		c.InsertAt(set, w, b, b%3 == 0, b%2 == 0, false)
 	}
 	c.Meta(c.SetOf(5), c.Probe(5)).SetShared(true)
 	c.Invalidate(6)

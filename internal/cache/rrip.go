@@ -112,7 +112,12 @@ func (c *Cache) rripLoopAwareVictimIn(set, lo, hi int) int {
 }
 
 // Victim returns the configured family's victim across the whole set.
-func (c *Cache) Victim(set int) int { return c.VictimInRange(set, 0, c.ways) }
+func (c *Cache) Victim(set int) int {
+	if c.cfg.Replacement == ReplRRIP {
+		return c.rripVictimIn(set, 0, c.ways)
+	}
+	return c.LRUVictim(set)
+}
 
 // VictimInRange returns the configured family's victim within [lo, hi).
 func (c *Cache) VictimInRange(set, lo, hi int) int {

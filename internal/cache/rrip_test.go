@@ -18,7 +18,7 @@ func TestReplacementString(t *testing.T) {
 
 func TestRRIPInsertionValue(t *testing.T) {
 	c := rripCache()
-	c.InsertAt(0, 0, 0, false, false)
+	c.InsertAt(0, 0, 0, false, false, false)
 	if c.RRPV(0, 0) != rrpvInsert {
 		t.Fatalf("inserted RRPV = %d, want %d", c.RRPV(0, 0), rrpvInsert)
 	}
@@ -30,13 +30,13 @@ func TestRRIPInsertionValue(t *testing.T) {
 
 func TestRRIPVictimPrefersInvalidThenDistant(t *testing.T) {
 	c := rripCache()
-	c.InsertAt(0, 0, 0, false, false)
+	c.InsertAt(0, 0, 0, false, false, false)
 	if v := c.Victim(0); v == 0 {
 		t.Fatal("RRIP victim picked the only valid line over invalid ways")
 	}
 	// Fill the set; promote all but way 2, then age: way 2 must go first.
 	for w := 0; w < 4; w++ {
-		c.InsertAt(0, w, uint64(w*16), false, false)
+		c.InsertAt(0, w, uint64(w*16), false, false, false)
 	}
 	c.Touch(0, 0)
 	c.Touch(0, 1)
@@ -49,7 +49,7 @@ func TestRRIPVictimPrefersInvalidThenDistant(t *testing.T) {
 func TestRRIPAgeingTerminates(t *testing.T) {
 	c := rripCache()
 	for w := 0; w < 4; w++ {
-		c.InsertAt(0, w, uint64(w*16), false, false)
+		c.InsertAt(0, w, uint64(w*16), false, false, false)
 		c.Touch(0, w) // all at RRPV 0
 	}
 	v := c.Victim(0) // must age everyone up to max and pick one
@@ -64,10 +64,10 @@ func TestRRIPAgeingTerminates(t *testing.T) {
 func TestRRIPLoopAwarePrefersNonLoop(t *testing.T) {
 	c := rripCache()
 	// way 0: loop-block at distant RRPV; way 1: non-loop at distant RRPV.
-	c.InsertAt(0, 0, 0, false, true)
-	c.InsertAt(0, 1, 16, false, false)
-	c.InsertAt(0, 2, 32, false, true)
-	c.InsertAt(0, 3, 48, false, true)
+	c.InsertAt(0, 0, 0, false, true, false)
+	c.InsertAt(0, 1, 16, false, false, false)
+	c.InsertAt(0, 2, 32, false, true, false)
+	c.InsertAt(0, 3, 48, false, true, false)
 	if v := c.LoopVictim(0); v != 1 {
 		t.Fatalf("loop-aware RRIP victim = way %d, want 1 (non-loop)", v)
 	}
@@ -82,7 +82,7 @@ func TestRRIPLoopAwarePrefersNonLoop(t *testing.T) {
 func TestRRIPLoopAwareProtectsPromotedLoopBlocks(t *testing.T) {
 	c := rripCache()
 	for w := 0; w < 4; w++ {
-		c.InsertAt(0, w, uint64(w*16), false, w != 3) // way 3 is non-loop
+		c.InsertAt(0, w, uint64(w*16), false, w != 3, false) // way 3 is non-loop
 	}
 	// Promote the loop blocks to immediate; leave the non-loop block
 	// at the insertion RRPV.
@@ -96,13 +96,13 @@ func TestRRIPLoopAwareProtectsPromotedLoopBlocks(t *testing.T) {
 
 func TestLRUCacheIgnoresRRPV(t *testing.T) {
 	c := small() // LRU config
-	c.InsertAt(0, 0, 0, false, false)
+	c.InsertAt(0, 0, 0, false, false, false)
 	if c.RRPV(0, 0) != 0 {
 		t.Fatal("LRU cache set an RRPV")
 	}
 	// Generic dispatchers must agree with the LRU primitives.
 	for w := 0; w < 4; w++ {
-		c.InsertAt(0, w, uint64(w*16), false, w%2 == 0)
+		c.InsertAt(0, w, uint64(w*16), false, w%2 == 0, false)
 	}
 	if c.Victim(0) != c.LRUVictim(0) {
 		t.Fatal("Victim != LRUVictim for an LRU cache")
@@ -116,7 +116,7 @@ func TestVictimInRangeRRIPBounds(t *testing.T) {
 	c := New(Config{Name: "h", SizeBytes: 16 * 64 * 4, Ways: 16, BlockBytes: 64,
 		SRAMWays: 4, Replacement: ReplRRIP})
 	for w := 0; w < 16; w++ {
-		c.InsertAt(0, w, uint64(w*c.NumSets()), false, w%2 == 0)
+		c.InsertAt(0, w, uint64(w*c.NumSets()), false, w%2 == 0, false)
 	}
 	if v := c.VictimInRange(0, 0, 4); v < 0 || v >= 4 {
 		t.Fatalf("RRIP SRAM-region victim out of range: %d", v)
@@ -160,7 +160,7 @@ func TestPropertyRRIPVictimSound(t *testing.T) {
 				if inv := c.InvalidWayIn(set, 0, c.Ways()); inv >= 0 && c.Line(set, w).Valid {
 					return false
 				}
-				c.InsertAt(set, w, b, rng.IntN(2) == 0, rng.IntN(2) == 0)
+				c.InsertAt(set, w, b, rng.IntN(2) == 0, rng.IntN(2) == 0, false)
 			}
 		}
 		return true
@@ -183,7 +183,7 @@ func TestPropertyRRIPLoopProtection(t *testing.T) {
 			if !loop {
 				nonLoop++
 			}
-			c.InsertAt(set, w, uint64(w*16+set), false, loop)
+			c.InsertAt(set, w, uint64(w*16+set), false, loop, false)
 			if rng.IntN(2) == 0 {
 				c.Touch(set, w)
 			}

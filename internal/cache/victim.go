@@ -1,5 +1,7 @@
 package cache
 
+import "math/bits"
+
 // Victim selection policies. The paper's loop-block-aware replacement
 // (Section III-B, Fig. 9) selects, in priority order: an invalid way, the
 // LRU non-loop-block, and only as a last resort the LRU loop-block. The
@@ -53,8 +55,16 @@ func (c *Cache) LoopAwareVictimIn(set, lo, hi int) int {
 	return lruLoop
 }
 
-// LRUVictim returns the plain-LRU victim across all ways of a set.
-func (c *Cache) LRUVictim(set int) int { return c.VictimIn(set, 0, c.ways) }
+// LRUVictim returns the plain-LRU victim across all ways of a set, the
+// same way VictimIn(set, 0, Ways()) picks: the lowest invalid way, else
+// the set's LRU rank. Over the whole set no range filter is needed, so it
+// reads the valid mask and one order byte.
+func (c *Cache) LRUVictim(set int) int {
+	if inv := ^c.valid[set] & rangeMask(0, c.ways); inv != 0 {
+		return bits.TrailingZeros64(inv)
+	}
+	return int(c.order[set*c.ways])
+}
 
 // LoopAwareVictim returns the loop-aware victim across all ways of a set.
 func (c *Cache) LoopAwareVictim(set int) int { return c.LoopAwareVictimIn(set, 0, c.ways) }

@@ -375,7 +375,7 @@ func TestLhybridWinvRedirectsDirtyHit(t *testing.T) {
 	x, c := testCtx(2), NewLhybrid()
 	set := x.L3.SetOf(100)
 	// Plant a clean copy in the STT region.
-	x.L3.InsertAt(set, 5, 100, false, false)
+	x.L3.InsertAt(set, 5, 100, false, false, false)
 	sttWritesBefore := x.E.Regions[energy.RegionSTT].Writes
 	c.EvictL2(x, dirtyLine(100))
 	if x.E.Regions[energy.RegionSTT].Writes != sttWritesBefore {

@@ -191,12 +191,12 @@ func (x *Ctx) memWrite(block uint64) {
 	}
 }
 
-// evictVictim processes the replacement victim at (set, way): a dirty
-// victim is read out and written back to memory; the profiler learns the
-// LLC no longer holds the block. The way is left invalid.
-func (x *Ctx) evictVictim(set, way int) {
-	v, ok := x.L3.Evict(set, way)
-	if !ok {
+// retire processes the replacement victim v that just left way of its
+// set (a zero Line when the way was empty): a dirty victim is read out
+// and written back to memory; the profiler learns the LLC no longer
+// holds the block.
+func (x *Ctx) retire(way int, v cache.Line) {
+	if !v.Valid {
 		return
 	}
 	x.Met.L3Evictions++
@@ -228,8 +228,14 @@ func (x *Ctx) evictVictim(set, way int) {
 func (x *Ctx) insert(block uint64, dirty, loop bool, src WriteSource, selectWay func(set int) int) int {
 	set := x.L3.SetOf(block)
 	way := selectWay(set)
-	x.evictVictim(set, way)
-	x.L3.InsertAt(set, way, block, dirty, loop)
+	x.insertAt(set, way, block, dirty, loop, src)
+	return way
+}
+
+// insertAt writes block into (set, way), retiring the occupant, and
+// charges a data write attributed to src.
+func (x *Ctx) insertAt(set, way int, block uint64, dirty, loop bool, src WriteSource) {
+	x.retire(way, x.L3.InsertAt(set, way, block, dirty, loop, false))
 	x.dataWrite(set, way)
 	x.Met.AddWrite(src)
 	if x.Prof != nil {
@@ -240,7 +246,6 @@ func (x *Ctx) insert(block uint64, dirty, loop bool, src WriteSource, selectWay 
 			x.Prof.OnCleanInsert(block)
 		}
 	}
-	return way
 }
 
 // FetchResult reports the outcome of a Fetch to the hierarchy.

@@ -135,7 +135,7 @@ func (c *Hybrid) placeFull(x *Ctx, block uint64, dirty, loop bool, src WriteSour
 	ways := x.L3.Ways()
 
 	if w := x.L3.InvalidWayIn(set, 0, sram); w >= 0 {
-		c.installAt(x, set, w, block, dirty, loop, src)
+		x.insertAt(set, w, block, dirty, loop, src)
 		return
 	}
 	mruLoop := x.L3.MRULoopIn(set, 0, sram)
@@ -144,16 +144,16 @@ func (c *Hybrid) placeFull(x *Ctx, block uint64, dirty, loop bool, src WriteSour
 		// Fig. 11b: migrate the MRU loop-block to STT-RAM, then reuse its
 		// SRAM way for the incoming block.
 		c.migrate(x, set, mruLoop, sram, ways)
-		c.installAt(x, set, mruLoop, block, dirty, loop, src)
+		x.insertAt(set, mruLoop, block, dirty, loop, src)
 	case loop:
 		// The incoming block is itself the only loop-block: it belongs in
 		// STT-RAM directly.
 		w := c.sttVictim(x, set, sram, ways)
-		c.installAt(x, set, w, block, dirty, loop, src)
+		x.insertAt(set, w, block, dirty, loop, src)
 	default:
 		// Fig. 11c: no loop-blocks anywhere — evict the SRAM LRU block.
 		w := x.L3.VictimInRange(set, 0, sram)
-		c.installAt(x, set, w, block, dirty, loop, src)
+		x.insertAt(set, w, block, dirty, loop, src)
 	}
 }
 
@@ -169,33 +169,15 @@ func (c *Hybrid) sttVictim(x *Ctx, set, sram, ways int) int {
 // migrate moves the line at (set, from) in SRAM into the STT-RAM region.
 func (c *Hybrid) migrate(x *Ctx, set, from, sram, ways int) {
 	to := c.sttVictim(x, set, sram, ways)
-	x.evictVictim(set, to)
 	src, ok := x.L3.Evict(set, from)
 	if !ok {
 		return
 	}
 	// Reading the block out of SRAM and writing it into STT-RAM.
 	x.E.AddRead(x.regionOf(from))
-	x.L3.InsertAt(set, to, src.Tag, src.Dirty, src.Loop)
+	x.retire(to, x.L3.InsertAt(set, to, src.Tag, src.Dirty, src.Loop, false))
 	x.dataWrite(set, to)
 	x.Met.MigrationWrites++
-}
-
-// installAt writes the incoming block into a specific way, evicting any
-// occupant first.
-func (c *Hybrid) installAt(x *Ctx, set, way int, block uint64, dirty, loop bool, src WriteSource) {
-	x.evictVictim(set, way)
-	x.L3.InsertAt(set, way, block, dirty, loop)
-	x.dataWrite(set, way)
-	x.Met.AddWrite(src)
-	if x.Prof != nil {
-		switch src {
-		case SrcFill:
-			x.Prof.OnFill(block)
-		case SrcClean:
-			x.Prof.OnCleanInsert(block)
-		}
-	}
 }
 
 func init() {

@@ -113,10 +113,10 @@ func TestLAPVictimSelectorFollowsDuel(t *testing.T) {
 	// under LRU the oldest (the loop block at way 0) is evicted, under
 	// loop-aware the non-loop one would be.
 	set := 2
-	x.L3.InsertAt(set, 0, 2, false, true) // oldest, loop
-	x.L3.InsertAt(set, 1, 10, false, false)
-	x.L3.InsertAt(set, 2, 18, false, true)
-	x.L3.InsertAt(set, 3, 26, false, true)
+	x.L3.InsertAt(set, 0, 2, false, true, false) // oldest, loop
+	x.L3.InsertAt(set, 1, 10, false, false, false)
+	x.L3.InsertAt(set, 2, 18, false, true, false)
+	x.L3.InsertAt(set, 3, 26, false, true, false)
 	sel := c.victimSelector(x)
 	if w := sel(set); w != 0 {
 		t.Fatalf("duel winner LRU but selector chose way %d", w)

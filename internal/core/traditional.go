@@ -134,7 +134,7 @@ func NewInclusive() *Inclusive { return &Inclusive{} }
 func (*Inclusive) Name() string { return "inclusive" }
 
 // Fetch implements Controller. Back-invalidation happens in
-// Ctx.evictVictim whenever Ctx.BackInvalidate is non-nil.
+// Ctx.retire whenever Ctx.BackInvalidate is non-nil.
 func (c *Inclusive) Fetch(x *Ctx, block uint64) FetchResult {
 	return c.noni.Fetch(x, block)
 }

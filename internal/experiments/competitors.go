@@ -40,7 +40,7 @@ func ExtSTT(opt Options) *Table {
 		row := []string{mix.Name}
 		miss := make([]string, 0, len(pols))
 		for i, p := range pols {
-			r := run(cfg, p.Name, p.New, mix, opt)
+			r := run(cfg, p.Name, p.Pol, mix, opt)
 			epi := ratio(r.EPI.Total(), base.EPI.Total())
 			mpki := ratio(r.Met.MPKI(), base.Met.MPKI())
 			epiSums[i] += epi

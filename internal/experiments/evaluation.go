@@ -11,10 +11,10 @@ import (
 // Evaluation experiments (Section VI-A/B): Figures 12-19 on
 // multi-programmed SPEC mixes with the STT-RAM (and SRAM) LLC.
 
-// namedPolicy pairs a policy name with its factory.
+// namedPolicy pairs a table label with a policy factory.
 type namedPolicy struct {
 	Name string
-	New  sim.Controller
+	Pol  Policy
 }
 
 // evaluatedPolicies returns the Table IV comparison set (the baselines
@@ -182,7 +182,7 @@ func Fig14(opt Options) *Table {
 		dyn := []string{"", "dynamic EPI"}
 		perf := []string{"", "throughput"}
 		for _, p := range pols {
-			r := run(cfg, p.Name, p.New, mix, opt)
+			r := run(cfg, p.Name, p.Pol, mix, opt)
 			epi = append(epi, f2(ratio(r.EPI.Total(), base.EPI.Total())))
 			dyn = append(dyn, f2(ratio(r.EPI.DynamicNJPerInstr, base.EPI.DynamicNJPerInstr)))
 			perf = append(perf, f2(ratio(r.Throughput, base.Throughput)))
@@ -196,7 +196,7 @@ func Fig14(opt Options) *Table {
 	sums := make(map[string][3]float64, len(pols))
 	for _, s := range stats {
 		for _, p := range pols {
-			r := run(cfg, p.Name, p.New, s.Mix, opt)
+			r := run(cfg, p.Name, p.Pol, s.Mix, opt)
 			acc := sums[p.Name]
 			acc[0] += ratio(r.EPI.Total(), s.Noni.EPI.Total())
 			acc[1] += ratio(r.EPI.DynamicNJPerInstr, s.Noni.EPI.DynamicNJPerInstr)
@@ -237,7 +237,7 @@ func Fig15(opt Options) *Table {
 		noniRun := run(cfg, "noni", Noni(), mix, opt)
 		base := float64(noniRun.Met.WritesToLLC())
 		for _, p := range pols {
-			r := run(cfg, p.Name, p.New, mix, opt)
+			r := run(cfg, p.Name, p.Pol, mix, opt)
 			t.AddRow(mix.Name, p.Name,
 				f2(ratio(float64(r.Met.WritesFill), base)),
 				f2(ratio(float64(r.Met.WritesDirty), base)),
@@ -267,7 +267,7 @@ func Fig16(opt Options) *Table {
 	for _, mix := range mixes {
 		row := []string{mix.Name}
 		for _, p := range pols {
-			r := run(cfg, p.Name, p.New, mix, opt)
+			r := run(cfg, p.Name, p.Pol, mix, opt)
 			met := r.Met
 			row = append(row, pct(ratio(float64(r.Prof.RedundantCleanInserts), float64(met.WritesToLLC()))))
 		}

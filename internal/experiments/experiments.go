@@ -168,28 +168,49 @@ func pct(v float64) string { return fmt.Sprintf("%.1f%%", 100*v) }
 // tables cannot drift from the shipped dispatch; only the Fig. 25
 // ablation stages (not real policies) are built directly.
 
-// registered returns a fresh-controller factory for a registry policy.
-func registered(name string, params core.PolicyParams) sim.Controller {
-	if _, ok := core.LookupPolicy(name); !ok {
+// Policy is a fresh-controller factory together with the identity of
+// what it builds. The run memo and the checkpoint store key runs on ID,
+// never on the label a table prints, so every label for one controller
+// ("ex" in Fig. 15, "Exclusive" in Fig. 14) shares one simulation.
+type Policy struct {
+	// ID renders everything the factory bakes in: the canonical registry
+	// name plus the core.PolicyParams it applies, or an ablation stage's
+	// switches plus its duel period.
+	ID string
+	// New builds one controller per run.
+	New sim.Controller
+	// registryName is the canonical registry name, empty for an ablation
+	// stage; sampleEligible reads the registry's capability flags by it.
+	registryName string
+}
+
+// registered returns the factory for a registry policy.
+func registered(name string, params core.PolicyParams) Policy {
+	info, ok := core.LookupPolicy(name)
+	if !ok {
 		panic(fmt.Sprintf("experiments: unknown policy %q", name))
 	}
-	return func() core.Controller {
-		c, err := core.NewPolicy(name, params)
-		if err != nil {
-			panic(err)
-		}
-		return c
+	return Policy{
+		ID: fmt.Sprintf("%s%+v", info.Name, params),
+		New: func() core.Controller {
+			c, err := core.NewPolicy(info.Name, params)
+			if err != nil {
+				panic(err)
+			}
+			return c
+		},
+		registryName: info.Name,
 	}
 }
 
 // Noni returns the non-inclusive baseline factory.
-func Noni() sim.Controller { return registered("non-inclusive", core.PolicyParams{}) }
+func Noni() Policy { return registered("non-inclusive", core.PolicyParams{}) }
 
 // Ex returns the exclusive policy factory.
-func Ex() sim.Controller { return registered("exclusive", core.PolicyParams{}) }
+func Ex() Policy { return registered("exclusive", core.PolicyParams{}) }
 
 // Incl returns the inclusive policy factory.
-func Incl() sim.Controller { return registered("inclusive", core.PolicyParams{}) }
+func Incl() Policy { return registered("inclusive", core.PolicyParams{}) }
 
 // dueler is implemented by controllers with set-dueling state.
 type dueler interface{ Duel() *cache.Duel }
@@ -205,7 +226,7 @@ func withPeriod(c core.Controller, period uint64) core.Controller {
 }
 
 // Flex returns the FLEXclusion factory.
-func Flex(opt Options) sim.Controller {
+func Flex(opt Options) Policy {
 	return registered("FLEXclusion", core.PolicyParams{DuelPeriod: opt.DuelPeriod})
 }
 
@@ -213,44 +234,51 @@ func Flex(opt Options) sim.Controller {
 // duel weighs writes by the technology's write energy and misses by the
 // fill read plus the marginal leakage burned over the exposed (post-MLP)
 // portion of a memory access (sim.Config.PolicyParams).
-func Dswitch(cfg sim.Config, opt Options) sim.Controller {
+func Dswitch(cfg sim.Config, opt Options) Policy {
 	return registered("Dswitch", cfg.PolicyParams(opt.DuelPeriod))
 }
 
 // LAP returns the full LAP factory.
-func LAP(opt Options) sim.Controller {
+func LAP(opt Options) Policy {
 	return registered("LAP", core.PolicyParams{DuelPeriod: opt.DuelPeriod})
 }
 
 // LAPLRU returns the Fig. 19 always-LRU replacement variant.
-func LAPLRU() sim.Controller {
+func LAPLRU() Policy {
 	return registered("LAP-LRU", core.PolicyParams{})
 }
 
 // LAPLoop returns the always-loop-aware variant.
-func LAPLoop() sim.Controller {
+func LAPLoop() Policy {
 	return registered("LAP-Loop", core.PolicyParams{})
 }
 
 // Lhybrid returns the hybrid data-placement policy factory.
-func Lhybrid(opt Options) sim.Controller {
+func Lhybrid(opt Options) Policy {
 	return registered("Lhybrid", core.PolicyParams{DuelPeriod: opt.DuelPeriod})
 }
 
 // ReuseDetector returns the STT-RAM reuse-detection bypass competitor.
-func ReuseDetector() sim.Controller {
+func ReuseDetector() Policy {
 	return registered("reuse-detector", core.PolicyParams{})
 }
 
 // RDCopyback returns the reuse-distance copy-back competitor.
-func RDCopyback() sim.Controller {
+func RDCopyback() Policy {
 	return registered("rd-copyback", core.PolicyParams{})
 }
 
+// hybridStage is the switch set of one Fig. 25 ablation stage.
+type hybridStage struct{ Winv, LoopSTT, NloopSRAM bool }
+
 // HybridStage returns a Fig. 25 ablation stage factory.
-func HybridStage(opt Options, winv, loopSTT, nloopSRAM bool) sim.Controller {
-	return func() core.Controller {
-		return withPeriod(core.NewHybridStage(winv, loopSTT, nloopSRAM), opt.DuelPeriod)
+func HybridStage(opt Options, winv, loopSTT, nloopSRAM bool) Policy {
+	stage := hybridStage{winv, loopSTT, nloopSRAM}
+	return Policy{
+		ID: fmt.Sprintf("stage%+v%+v", stage, core.PolicyParams{DuelPeriod: opt.DuelPeriod}),
+		New: func() core.Controller {
+			return withPeriod(core.NewHybridStage(winv, loopSTT, nloopSRAM), opt.DuelPeriod)
+		},
 	}
 }
 

@@ -101,11 +101,9 @@ func ExtFlipNWrite(opt Options) *Table {
 func ExtDWB(opt Options) *Table {
 	cfg := sim.DefaultConfig()
 	pols := []namedPolicy{
-		{"ex+DWB", func() core.Controller { return core.NewDeadWriteBypass(core.NewExclusive()) }},
+		{"ex+DWB", registered("exclusive+DWB", core.PolicyParams{})},
 		{"LAP", LAP(opt)},
-		{"LAP+DWB", func() core.Controller {
-			return core.NewDeadWriteBypass(withPeriod(core.NewLAP(), opt.DuelPeriod))
-		}},
+		{"LAP+DWB", registered("LAP+DWB", core.PolicyParams{DuelPeriod: opt.DuelPeriod})},
 	}
 	t := &Table{
 		ID:     "Ext. DWB",
@@ -124,7 +122,7 @@ func ExtDWB(opt Options) *Table {
 		row := []string{mix.Name}
 		var bypasses uint64
 		for i, p := range pols {
-			r := run(cfg, p.Name, p.New, mix, opt)
+			r := run(cfg, p.Name, p.Pol, mix, opt)
 			rel := ratio(r.EPI.Total(), base.EPI.Total())
 			sums[i] += rel
 			row = append(row, f2(rel))

@@ -37,7 +37,7 @@ func policyMixRows(cfg sim.Config, opt Options, pols []namedPolicy) [][]string {
 		base := run(cfg, "noni", Noni(), mix, opt)
 		row := []string{mix.Name}
 		for i, p := range pols {
-			r := run(cfg, p.Name, p.New, mix, opt)
+			r := run(cfg, p.Name, p.Pol, mix, opt)
 			rel := ratio(r.EPI.Total(), base.EPI.Total())
 			sums[i] += rel
 			row = append(row, f2(rel))

@@ -22,7 +22,10 @@ import (
 // Experiments share many (config, policy, mix) simulation runs — e.g. the
 // non-inclusive baseline appears in every figure. A process-wide memo
 // avoids recomputing them when cmd/lapexp regenerates several artifacts in
-// one invocation. Keys include every knob that affects a run.
+// one invocation. Keys include every knob that affects a run, and name
+// the controller by what its factory builds (Policy.ID), not by the label
+// a table prints, so two artifacts that label one policy differently
+// share its runs.
 //
 // Under the parallel scheduler (sched.go) the memo is also the
 // coordination point: it is a singleflight cache. The first request for a
@@ -41,30 +44,31 @@ import (
 // TestMemoKeyConfigFields additionally rejects pointer fields, which
 // would compare by identity rather than by value.
 type memoKey struct {
-	Cfg        sim.Config
-	Policy     string
-	Mix        string
-	Threaded   bool
-	Accesses   uint64
-	Seed       uint64
-	DuelPeriod uint64
+	Cfg sim.Config
+	// Policy is the run identity Policy.ID; it carries the duel period
+	// and every other parameter the factory applies.
+	Policy   string
+	Mix      string
+	Threaded bool
+	Accesses uint64
+	Seed     uint64
 }
 
-// runKey builds the memo key. Options contributes only the knobs that
-// change a run's outcome; scheduling knobs (Jobs, Banks) are deliberately
-// excluded — and Config.Banks normalised away — so serial and parallel
-// invocations share entries.
+// runKey builds the memo key for the controller identified by policy (a
+// Policy.ID). Options contributes only the knobs that change a run's
+// outcome outside the factory; scheduling knobs (Jobs, Banks) are
+// deliberately excluded — and Config.Banks normalised away — so serial
+// and parallel invocations share entries.
 func runKey(cfg sim.Config, policy string, mix workload.Mix, threaded bool, opt Options) memoKey {
 	cfg.Banks = 0
 	cfg.CheckpointEvery = 0
 	return memoKey{
-		Cfg:        cfg,
-		Policy:     policy,
-		Mix:        mix.Name + "[" + strings.Join(mix.Members, ",") + "]",
-		Threaded:   threaded,
-		Accesses:   opt.Accesses,
-		Seed:       opt.Seed,
-		DuelPeriod: opt.DuelPeriod,
+		Cfg:      cfg,
+		Policy:   policy,
+		Mix:      mix.Name + "[" + strings.Join(mix.Members, ",") + "]",
+		Threaded: threaded,
+		Accesses: opt.Accesses,
+		Seed:     opt.Seed,
 	}
 }
 
@@ -76,22 +80,23 @@ var memo = memocache.New[memoKey, sim.Result](0)
 // runE executes (or recalls) one simulation, with the run's failure
 // domain contained to its own memo cell: a panicking simulation becomes
 // a typed *pool.RunError, a configuration error propagates as-is, and
-// either way nothing is cached (a retry recomputes). policyName must
-// uniquely identify the controller the factory builds.
-func runE(cfg sim.Config, policyName string, ctrl sim.Controller, mix workload.Mix, opt Options) (sim.Result, error) {
+// either way nothing is cached (a retry recomputes). The memo keys the
+// run on pol.ID; label only names the cell in spans, journal events and
+// panics.
+func runE(cfg sim.Config, label string, pol Policy, mix workload.Mix, opt Options) (sim.Result, error) {
 	if opt.Banks > 0 {
 		cfg.Banks = opt.Banks
 	}
 	if opt.Checkpoints != nil && opt.CheckpointEvery > 0 {
 		cfg.CheckpointEvery = opt.CheckpointEvery
 	}
-	if sampleEligible(cfg, policyName, opt) {
+	if sampleEligible(cfg, pol.registryName, opt) {
 		cfg.SampleInterval = opt.SampleInterval
 		cfg.SampleClusters = opt.SampleClusters
 		cfg.SampleWarmup = opt.SampleWarmup
 	}
-	key := runKey(cfg, policyName, mix, false, opt)
-	cell := key.Mix + "|" + policyName
+	key := runKey(cfg, pol.ID, mix, false, opt)
+	cell := key.Mix + "|" + label
 	ctx, sp := cellSpan(opt, cell)
 	res, err := memo.DoErr(ctx, key, cellObserved(opt, cell, func() (res sim.Result, err error) {
 		defer func() {
@@ -107,7 +112,7 @@ func runE(cfg sim.Config, policyName string, ctrl sim.Controller, mix workload.M
 			if err != nil {
 				return sim.Result{}, err
 			}
-			sr, err := sample.Run(cfg, ctrl(), prof)
+			sr, err := sample.Run(cfg, pol.New(), prof)
 			return sr.Sim, err
 		}
 		if opt.Checkpoints != nil && cfg.CheckpointEvery > 0 {
@@ -115,15 +120,13 @@ func runE(cfg sim.Config, policyName string, ctrl sim.Controller, mix workload.M
 				return sim.Result{}, fmt.Errorf("experiments: mix %s has %d members for %d cores", mix.Name, len(mix.Members), cfg.Cores)
 			}
 			// The policy descriptor must pin everything the controller
-			// factory bakes in beyond the name; DuelPeriod is the one
-			// knob registry closures vary.
+			// factory bakes in, which is exactly what pol.ID renders.
 			wl := checkpoint.MixWorkload(mix.Name, mix.Members, cfg.Cores, opt.Accesses, opt.Seed)
-			pol := fmt.Sprintf("%s|duel=%d", policyName, opt.DuelPeriod)
-			return checkpoint.ResumableRun(opt.Checkpoints, cfg, wl, pol, ctrl, func() ([]trace.Source, error) {
+			return checkpoint.ResumableRun(opt.Checkpoints, cfg, wl, pol.ID, pol.New, func() ([]trace.Source, error) {
 				return sim.MixSources(mix, opt.Accesses, opt.Seed)
 			})
 		}
-		return sim.RunMix(cfg, ctrl, mix, opt.Accesses, opt.Seed)
+		return sim.RunMix(cfg, pol.New, mix, opt.Accesses, opt.Seed)
 	}))
 	sp.End()
 	return res, err
@@ -156,11 +159,11 @@ func cellObserved(opt Options, cell string, compute func() (sim.Result, error)) 
 // and the configuration has none of the features sampling cannot
 // represent (cross-interval coherent state, the redundancy profiler, or
 // explicit warmup/length bounds). Ineligible runs silently stay exact
-// so artifact code never has to special-case. policyName may be an
-// experiment-local display name ("noni", "LAP+Winv"); names the
-// registry does not know get no policy-level restriction.
-func sampleEligible(cfg sim.Config, policyName string, opt Options) bool {
-	if info, ok := core.LookupPolicy(policyName); ok && !info.SampledEligible {
+// so artifact code never has to special-case. registryName is a Policy's
+// canonical registry name; an ablation stage has none and gets no
+// policy-level restriction.
+func sampleEligible(cfg sim.Config, registryName string, opt Options) bool {
+	if info, ok := core.LookupPolicy(registryName); ok && !info.SampledEligible {
 		return false
 	}
 	return opt.SampleInterval > 0 &&
@@ -241,23 +244,23 @@ func cellSpan(opt Options, cell string) (context.Context, *otrace.Span) {
 // run is runE for the static experiment definitions of this package,
 // where a failing run is a bug: it panics with the cell label so the
 // per-artifact containment in cmd/lapexp can report which run died.
-func run(cfg sim.Config, policyName string, ctrl sim.Controller, mix workload.Mix, opt Options) sim.Result {
-	res, err := runE(cfg, policyName, ctrl, mix, opt)
+func run(cfg sim.Config, label string, pol Policy, mix workload.Mix, opt Options) sim.Result {
+	res, err := runE(cfg, label, pol, mix, opt)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: run %s[%s]|%s: %v",
-			mix.Name, strings.Join(mix.Members, ","), policyName, err))
+			mix.Name, strings.Join(mix.Members, ","), label, err))
 	}
 	return res
 }
 
 // runThreadedE executes (or recalls) one coherent multi-threaded run,
 // with the same failure containment as runE.
-func runThreadedE(cfg sim.Config, policyName string, ctrl sim.Controller, b workload.Benchmark, opt Options) (sim.Result, error) {
+func runThreadedE(cfg sim.Config, label string, pol Policy, b workload.Benchmark, opt Options) (sim.Result, error) {
 	if opt.Banks > 0 {
 		cfg.Banks = opt.Banks
 	}
-	key := runKey(cfg, policyName, workload.Mix{Name: b.Name}, true, opt)
-	cell := key.Mix + "|" + policyName
+	key := runKey(cfg, pol.ID, workload.Mix{Name: b.Name}, true, opt)
+	cell := key.Mix + "|" + label
 	ctx, sp := cellSpan(opt, cell)
 	res, err := memo.DoErr(ctx, key, cellObserved(opt, cell, func() (res sim.Result, err error) {
 		defer func() {
@@ -268,17 +271,17 @@ func runThreadedE(cfg sim.Config, policyName string, ctrl sim.Controller, b work
 		if err := fault.Inject(fault.PointExpRun, cell); err != nil {
 			return sim.Result{}, err
 		}
-		return sim.RunThreaded(cfg, ctrl, b, opt.Accesses, opt.Seed), nil
+		return sim.RunThreaded(cfg, pol.New, b, opt.Accesses, opt.Seed), nil
 	}))
 	sp.End()
 	return res, err
 }
 
 // runThreaded is run's panicking counterpart for threaded runs.
-func runThreaded(cfg sim.Config, policyName string, ctrl sim.Controller, b workload.Benchmark, opt Options) sim.Result {
-	res, err := runThreadedE(cfg, policyName, ctrl, b, opt)
+func runThreaded(cfg sim.Config, label string, pol Policy, b workload.Benchmark, opt Options) sim.Result {
+	res, err := runThreadedE(cfg, label, pol, b, opt)
 	if err != nil {
-		panic(fmt.Sprintf("experiments: threaded run %s|%s: %v", b.Name, policyName, err))
+		panic(fmt.Sprintf("experiments: threaded run %s|%s: %v", b.Name, label, err))
 	}
 	return res
 }

@@ -29,7 +29,7 @@ func Fig20(opt Options) *Table {
 		pRow := []string{"", "performance"}
 		sRow := []string{"", "snoop traffic"}
 		for i, p := range pols {
-			r := runThreaded(cfg, p.Name, p.New, b, opt)
+			r := runThreaded(cfg, p.Name, p.Pol, b, opt)
 			re := ratio(r.TotalNJ, base.TotalNJ)
 			// Multi-threaded performance is inverse runtime (the paper
 			// reports latency for PARSEC).

@@ -37,7 +37,7 @@ func robustnessTable(id, title string, opt Options, configs []struct {
 		for _, mix := range mixes {
 			base := run(c.cfg, "noni", Noni(), mix, opt)
 			for i, p := range pols {
-				r := run(c.cfg, p.Name, p.New, mix, opt)
+				r := run(c.cfg, p.Name, p.Pol, mix, opt)
 				sums[i] += ratio(r.EPI.Total(), base.EPI.Total())
 			}
 		}

@@ -41,7 +41,7 @@ func mixRunBatch(cfg sim.Config, opt Options, mixes []workload.Mix, pols ...name
 	for _, mix := range mixes {
 		for _, p := range pols {
 			mix, p := mix, p
-			batch = append(batch, func() { run(cfg, p.Name, p.New, mix, opt) })
+			batch = append(batch, func() { run(cfg, p.Name, p.Pol, mix, opt) })
 		}
 	}
 	return batch
@@ -59,7 +59,7 @@ func threadedRunBatch(cfg sim.Config, opt Options, benches []workload.Benchmark,
 	for _, b := range benches {
 		for _, p := range pols {
 			b, p := b, p
-			batch = append(batch, func() { runThreaded(cfg, p.Name, p.New, b, opt) })
+			batch = append(batch, func() { runThreaded(cfg, p.Name, p.Pol, b, opt) })
 		}
 	}
 	return batch

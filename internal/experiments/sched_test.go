@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -228,4 +229,67 @@ func TestMemoKeyConfigFields(t *testing.T) {
 		}
 	}
 	check("sim.Config", reflect.TypeOf(sim.Config{}))
+}
+
+// TestFig15RecallsFig14Runs: the memo keys runs on what the factory
+// builds, not on the table label, so Fig. 15's "noni"/"ex"/"LAP" cells
+// are the Table III runs Fig. 14 already computed (there labelled
+// "noni"/"Exclusive"/"LAP") and Fig. 15 simulates nothing new.
+func TestFig15RecallsFig14Runs(t *testing.T) {
+	ResetMemo()
+	opt := Options{Accesses: 4_000, Seed: 2016, RandomMixes: 1, DuelPeriod: 40_000}
+	Fig14(opt)
+	before := Stats()
+	Fig15(opt)
+	after := Stats()
+	if n := after.Computed - before.Computed; n != 0 {
+		t.Errorf("Fig15 after Fig14 computed %d runs, want 0", n)
+	}
+	if after.Recalled == before.Recalled {
+		t.Error("Fig15 after Fig14 recalled nothing")
+	}
+}
+
+// TestPolicyIDs: a Policy's ID must tell apart everything its factory
+// bakes in and nothing else.
+func TestPolicyIDs(t *testing.T) {
+	opt := Options{DuelPeriod: 40_000}
+	other := Options{DuelPeriod: 80_000}
+	stt := sim.DefaultConfig()
+	same := [][2]Policy{
+		{Ex(), registered("Exclusive", core.PolicyParams{})},
+		{LAP(opt), registered("lap", core.PolicyParams{DuelPeriod: opt.DuelPeriod})},
+		{HybridStage(opt, true, false, false), HybridStage(opt, true, false, false)},
+	}
+	for _, p := range same {
+		if p[0].ID != p[1].ID {
+			t.Errorf("one controller, two IDs: %q vs %q", p[0].ID, p[1].ID)
+		}
+	}
+	distinct := []Policy{
+		Noni(), Ex(), Incl(), Flex(opt), Flex(other),
+		Dswitch(stt, opt), Dswitch(stt.WithSRAML3(), opt), Dswitch(stt, other),
+		LAP(opt), LAP(other), LAPLRU(), LAPLoop(), Lhybrid(opt),
+		ReuseDetector(), RDCopyback(),
+		registered("LAP+DWB", core.PolicyParams{DuelPeriod: opt.DuelPeriod}),
+		HybridStage(opt, true, false, false), HybridStage(opt, false, true, false),
+		HybridStage(opt, false, false, true), HybridStage(other, true, false, false),
+	}
+	seen := map[string]int{}
+	for i, p := range distinct {
+		if j, dup := seen[p.ID]; dup {
+			t.Errorf("policies %d and %d share ID %q", j, i, p.ID)
+		}
+		seen[p.ID] = i
+	}
+	// ID renders PolicyParams with %+v, which is exact only for scalar
+	// fields.
+	tp := reflect.TypeOf(core.PolicyParams{})
+	for i := 0; i < tp.NumField(); i++ {
+		switch k := tp.Field(i).Type.Kind(); k {
+		case reflect.Bool, reflect.Int, reflect.Int64, reflect.Uint64, reflect.Float64, reflect.String:
+		default:
+			t.Errorf("core.PolicyParams.%s has kind %s: Policy.ID cannot render it exactly", tp.Field(i).Name, k)
+		}
+	}
 }

@@ -31,7 +31,7 @@ func avgEPIOverMixes(cfg sim.Config, opt Options, pols []namedPolicy) (wl, wh, a
 			nWH++
 		}
 		for _, p := range pols {
-			r := run(cfg, p.Name, p.New, mix, opt)
+			r := run(cfg, p.Name, p.Pol, mix, opt)
 			rel := ratio(r.EPI.Total(), b.Noni.EPI.Total())
 			all[p.Name] += rel
 			if isWL {

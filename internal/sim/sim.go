@@ -639,22 +639,12 @@ func (m *machine) busWrite(c *coreState, block uint64) {
 
 // fillL1 installs a block into the L1, writing back the victim into the
 // L2 (allocating there if needed, since the L2 is non-inclusive of L1).
+// Every caller has just missed on block in this L1.
 func (m *machine) fillL1(c *coreState, block uint64, write, shared bool) {
-	if w := c.l1.Probe(block); w >= 0 {
-		set := c.l1.SetOf(block)
-		l := c.l1.Meta(set, w)
-		l.SetDirty(l.Dirty() || write)
-		l.SetShared(l.Shared() || shared)
-		c.l1.Touch(set, w)
-		return
-	}
 	set := c.l1.SetOf(block)
-	way := c.l1.LRUVictim(set)
-	if v, ok := c.l1.Evict(set, way); ok && v.Dirty {
+	if v := c.l1.InsertAt(set, c.l1.LRUVictim(set), block, write, false, shared); v.Dirty {
 		m.writebackL1Victim(c, v)
 	}
-	c.l1.InsertAt(set, way, block, write, false)
-	c.l1.Meta(set, way).SetShared(shared)
 }
 
 // writebackL1Victim merges a dirty L1 victim into the L2.
@@ -672,24 +662,12 @@ func (m *machine) writebackL1Victim(c *coreState, v cache.Line) {
 }
 
 // installL2 places a block into the L2, handing the victim to the
-// inclusion controller.
+// inclusion controller. Every caller has just missed on block in this L2.
 func (m *machine) installL2(c *coreState, block uint64, dirty, loop, shared bool) {
-	if w := c.l2.Probe(block); w >= 0 {
-		set := c.l2.SetOf(block)
-		l := c.l2.Meta(set, w)
-		l.SetDirty(l.Dirty() || dirty)
-		l.SetLoop(loop)
-		l.SetShared(l.Shared() || shared)
-		c.l2.Touch(set, w)
-		return
-	}
 	set := c.l2.SetOf(block)
-	way := c.l2.LRUVictim(set)
-	if v, ok := c.l2.Evict(set, way); ok {
+	if v := c.l2.InsertAt(set, c.l2.LRUVictim(set), block, dirty, loop, shared); v.Valid {
 		m.onL2Evict(c, v)
 	}
-	c.l2.InsertAt(set, way, block, dirty, loop)
-	c.l2.Meta(set, way).SetShared(shared)
 }
 
 // onL2Evict routes an L2 victim to the inclusion controller. This is

@@ -204,8 +204,7 @@ func (g *generator) Next() (trace.Access, bool) {
 		block = g.rng.Uint64N(blocks)
 		write = g.rng.Float64() < r.WriteFrac
 	case Loop:
-		block = g.cursors[ri]
-		g.cursors[ri] = (g.cursors[ri] + 1) % blocks
+		block = g.advance(ri, blocks)
 	case RMW:
 		block = g.rng.Uint64N(blocks)
 		if g.rng.Float64() < r.WriteFrac {
@@ -213,8 +212,7 @@ func (g *generator) Next() (trace.Access, bool) {
 			g.havePend = true
 		}
 	case Stream, StreamRMW:
-		block = g.cursors[ri]
-		g.cursors[ri] = (g.cursors[ri] + 1) % blocks
+		block = g.advance(ri, blocks)
 		if r.Kind == StreamRMW {
 			g.pending = trace.Access{Addr: (g.bases[ri] + block) * BlockBytes, Write: true}
 			g.havePend = true
@@ -263,6 +261,19 @@ func (g *generator) Fork() trace.Source {
 		havePend: g.havePend,
 		instErr:  g.instErr,
 	}
+}
+
+// advance returns region ri's cursor and steps it around the ring of
+// blocks. Cursors start below blocks and move by one, so a compare
+// replaces the modulo.
+func (g *generator) advance(ri int, blocks uint64) uint64 {
+	block := g.cursors[ri]
+	if next := block + 1; next < blocks {
+		g.cursors[ri] = next
+	} else {
+		g.cursors[ri] = 0
+	}
+	return block
 }
 
 func (g *generator) pick() int {
