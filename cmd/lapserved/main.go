@@ -59,7 +59,8 @@
 //
 // -smoke starts the server on a loopback port, exercises /healthz, one
 // /v1/run, and a coalesced duplicate pair, then verifies via /v1/stats
-// that the duplicate was recalled rather than recomputed. It exits
+// that the duplicate was recalled rather than recomputed, and that a
+// misspelt config key is a 400 naming the key. It exits
 // non-zero on any failure, making it a one-command integration check
 // (`make serve-smoke`).
 package main
@@ -354,6 +355,25 @@ func runSmoke(cfg server.Config) error {
 	}
 	fmt.Printf("lapserved: smoke events OK (%d emitted), bundle OK (%d bytes)\n",
 		stats.Events.Emitted, len(raw))
+
+	// 6. A misspelt config key is refused with a 400 that names it,
+	// never silently dropped (which would run the default exact mode).
+	const typo = "SampleIntervl"
+	cresp, err := client.Post(base+"/v1/run", "application/json",
+		strings.NewReader(`{"mix":"WH1","accesses":20000,"config":{"`+typo+`":1000}}`))
+	if err != nil {
+		return fmt.Errorf("misspelt config: %w", err)
+	}
+	var fe struct {
+		Field string `json:"field"`
+	}
+	derr := json.NewDecoder(cresp.Body).Decode(&fe)
+	cresp.Body.Close()
+	if cresp.StatusCode != http.StatusBadRequest || derr != nil || fe.Field != typo {
+		return fmt.Errorf("misspelt config key: status %d, field %q (%v); want 400 naming %q",
+			cresp.StatusCode, fe.Field, derr, typo)
+	}
+	fmt.Printf("lapserved: smoke misspelt config key refused (400, field %s)\n", fe.Field)
 	return nil
 }
 

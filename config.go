@@ -1,9 +1,14 @@
 package lap
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
+	"strconv"
+	"strings"
 )
 
 // Machine-configuration serialisation: Config is a plain value struct, so
@@ -37,20 +42,41 @@ func LoadConfig(path string) (Config, error) {
 
 // ParseConfig decodes a (possibly partial) JSON machine configuration
 // overlaid on DefaultConfig, and validates it. Empty input yields the
-// defaults. This is the byte-level core of LoadConfig, shared with the
-// lapserved request decoder.
+// defaults. An unknown key is a *FieldError naming it, so a misspelt
+// knob fails loudly instead of silently running the default. This is the
+// byte-level core of LoadConfig, shared with the lapserved request
+// decoder.
 func ParseConfig(data []byte) (Config, error) {
 	// Start from the defaults so omitted fields stay sane.
 	cfg := DefaultConfig()
 	if len(data) > 0 {
-		if err := json.Unmarshal(data, &cfg); err != nil {
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&cfg); err != nil {
+			if key, ok := unknownField(err); ok {
+				return Config{}, &FieldError{Field: key, Reason: "unknown configuration field"}
+			}
 			return Config{}, fmt.Errorf("decoding config: %w", err)
+		}
+		if _, err := dec.Token(); err != io.EOF {
+			return Config{}, errors.New("decoding config: trailing data after the JSON object")
 		}
 	}
 	if err := ValidateConfig(cfg); err != nil {
 		return Config{}, err
 	}
 	return cfg, nil
+}
+
+// unknownField extracts the key from encoding/json's unknown-field error
+// (`json: unknown field "K"`), which has no typed form.
+func unknownField(err error) (string, bool) {
+	quoted, ok := strings.CutPrefix(err.Error(), "json: unknown field ")
+	if !ok {
+		return "", false
+	}
+	key, uerr := strconv.Unquote(quoted)
+	return key, uerr == nil
 }
 
 // ValidateConfig checks a configuration for the mistakes the simulator

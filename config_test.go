@@ -131,4 +131,16 @@ func TestParseConfig(t *testing.T) {
 	if _, err := ParseConfig([]byte(`{"Cores": -1}`)); err == nil {
 		t.Fatal("invalid machine accepted")
 	}
+	if _, err := ParseConfig([]byte(`{"Cores": 2} {}`)); err == nil {
+		t.Fatal("trailing data accepted")
+	}
+	// Unknown keys (a misspelt knob, a removed field) are rejected with
+	// a *FieldError naming the key rather than silently ignored.
+	for _, key := range []string{"SampleIntervl", "Banks"} {
+		_, err := ParseConfig([]byte(`{"` + key + `": 1000}`))
+		var fe *FieldError
+		if !errors.As(err, &fe) || fe.Field != key {
+			t.Fatalf("unknown key %q: got %v, want a *FieldError on %q", key, err, key)
+		}
+	}
 }

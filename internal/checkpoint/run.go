@@ -18,25 +18,16 @@ import (
 	"repro/internal/trace"
 )
 
-// DigestSimConfig hashes a simulator configuration for checkpoint
-// keying, normalizing the host-execution knobs that do not affect
-// results (Banks, CheckpointEvery — the same fields the memo layers
-// exclude), so a run checkpointed at one worker-bank count resumes at
-// any other.
-func DigestSimConfig(cfg sim.Config) string {
-	cfg.Banks = 0
-	cfg.CheckpointEvery = 0
-	return DigestJSON(cfg)
-}
-
-// RunKey builds the store key for one exact run: the normalized config
-// digest crossed with a workload descriptor that must pin everything
+// RunKey builds the store key for one exact run: the digest of the
+// config's run identity (sim.Config.RunIdentity, so a run checkpointed
+// at one interval resumes under any other) crossed with a workload
+// descriptor that must pin everything
 // else the simulation depends on — mix members, accesses, seed, and
 // policy (controller state lives inside the payload).
 func RunKey(cfg sim.Config, workload, policy string) Key {
 	return Key{
 		Kind:     KindRun,
-		Config:   DigestSimConfig(cfg),
+		Config:   DigestJSON(cfg.RunIdentity()),
 		Workload: Digest(workload, "policy="+policy),
 	}
 }
@@ -104,16 +95,13 @@ type (
 )
 
 // ProfileKey builds the store key for one sampling profile. Profiles
-// are policy-independent, and the cluster/warmup knobs shape the replay
-// rather than the profile, so they are normalized out of the digest
-// (mirroring the in-process profile memo); the workload descriptor must
-// pin the trace and per-core length.
+// are policy-independent and keyed on the profile identity
+// (sim.Config.ProfileIdentity), like the in-process profile memos; the
+// workload descriptor must pin the trace and per-core length.
 func ProfileKey(cfg sim.Config, workload string) Key {
-	cfg.SampleClusters = 0
-	cfg.SampleWarmup = 0
 	return Key{
 		Kind:     KindProfile,
-		Config:   DigestSimConfig(cfg),
+		Config:   DigestJSON(cfg.ProfileIdentity()),
 		Workload: Digest(workload),
 	}
 }

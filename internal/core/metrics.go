@@ -95,40 +95,6 @@ type Metrics struct {
 	Cycles       uint64
 }
 
-// Add accumulates o's counts into m. The banked simulator uses it to fold
-// per-core counter shards back into the run's metrics; all counters are
-// event counts, so addition is exact regardless of interleaving.
-func (m *Metrics) Add(o *Metrics) {
-	m.L3Accesses += o.L3Accesses
-	m.L3Hits += o.L3Hits
-	m.L3Misses += o.L3Misses
-	m.WritesFill += o.WritesFill
-	m.WritesDirty += o.WritesDirty
-	m.WritesClean += o.WritesClean
-	m.MigrationWrites += o.MigrationWrites
-	m.TagOnlyUpdates += o.TagOnlyUpdates
-	m.L3Evictions += o.L3Evictions
-	m.L3DirtyEvictions += o.L3DirtyEvictions
-	m.MemReads += o.MemReads
-	m.MemWrites += o.MemWrites
-	m.BackInvalidations += o.BackInvalidations
-	m.L1Accesses += o.L1Accesses
-	m.L1Misses += o.L1Misses
-	m.L2Accesses += o.L2Accesses
-	m.L2Misses += o.L2Misses
-	m.L2Evictions += o.L2Evictions
-	m.L2CleanEvictions += o.L2CleanEvictions
-	m.L2DirtyEvictions += o.L2DirtyEvictions
-	m.SnoopProbes += o.SnoopProbes
-	m.SnoopDirtyTransfers += o.SnoopDirtyTransfers
-	m.SnoopTraffic += o.SnoopTraffic
-	m.Prefetches += o.Prefetches
-	m.BypassedWrites += o.BypassedWrites
-	m.BypassedFills += o.BypassedFills
-	m.MSHRMerges += o.MSHRMerges
-	m.MSHRStalls += o.MSHRStalls
-}
-
 // Sub subtracts o's counts from m, including the end-of-run
 // Instructions and Cycles fields. The sampled executor uses it to turn
 // two snapshots into an interval delta.

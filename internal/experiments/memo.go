@@ -56,14 +56,12 @@ type memoKey struct {
 
 // runKey builds the memo key for the controller identified by policy (a
 // Policy.ID). Options contributes only the knobs that change a run's
-// outcome outside the factory; scheduling knobs (Jobs, Banks) are
-// deliberately excluded — and Config.Banks normalised away — so serial
-// and parallel invocations share entries.
+// outcome outside the factory; the scheduling knob Jobs is deliberately
+// excluded, and Cfg is the run identity (sim.Config.RunIdentity), so
+// serial, parallel and checkpointed invocations share entries.
 func runKey(cfg sim.Config, policy string, mix workload.Mix, threaded bool, opt Options) memoKey {
-	cfg.Banks = 0
-	cfg.CheckpointEvery = 0
 	return memoKey{
-		Cfg:      cfg,
+		Cfg:      cfg.RunIdentity(),
 		Policy:   policy,
 		Mix:      mix.Name + "[" + strings.Join(mix.Members, ",") + "]",
 		Threaded: threaded,
@@ -84,9 +82,6 @@ var memo = memocache.New[memoKey, sim.Result](0)
 // run on pol.ID; label only names the cell in spans, journal events and
 // panics.
 func runE(cfg sim.Config, label string, pol Policy, mix workload.Mix, opt Options) (sim.Result, error) {
-	if opt.Banks > 0 {
-		cfg.Banks = opt.Banks
-	}
 	if opt.Checkpoints != nil && opt.CheckpointEvery > 0 {
 		cfg.CheckpointEvery = opt.CheckpointEvery
 	}
@@ -187,12 +182,8 @@ type profileKey struct {
 var profiles = memocache.New[profileKey, *sample.Profile](0)
 
 func profileFor(cfg sim.Config, mix workload.Mix, opt Options) (*sample.Profile, error) {
-	kcfg := cfg
-	kcfg.Banks = 0
-	kcfg.SampleClusters = 0
-	kcfg.SampleWarmup = 0
 	key := profileKey{
-		Cfg:      kcfg,
+		Cfg:      cfg.ProfileIdentity(),
 		Mix:      mix.Name + "[" + strings.Join(mix.Members, ",") + "]",
 		Accesses: opt.Accesses,
 		Seed:     opt.Seed,
@@ -212,7 +203,7 @@ func profileFor(cfg sim.Config, mix workload.Mix, opt Options) (*sample.Profile,
 		// replaces the functional pass (replay positions are rebuilt from
 		// fresh sources); a freshly built one is persisted for the next
 		// process. Store failures degrade to build().
-		ck := checkpoint.ProfileKey(kcfg,
+		ck := checkpoint.ProfileKey(cfg,
 			checkpoint.MixWorkload(mix.Name, mix.Members, cfg.Cores, opt.Accesses, opt.Seed))
 		codec := checkpoint.ProfileCodec[*sample.Profile]{
 			Encode: func(p *sample.Profile) []byte { return p.Encode() },
@@ -256,9 +247,6 @@ func run(cfg sim.Config, label string, pol Policy, mix workload.Mix, opt Options
 // runThreadedE executes (or recalls) one coherent multi-threaded run,
 // with the same failure containment as runE.
 func runThreadedE(cfg sim.Config, label string, pol Policy, b workload.Benchmark, opt Options) (sim.Result, error) {
-	if opt.Banks > 0 {
-		cfg.Banks = opt.Banks
-	}
 	key := runKey(cfg, pol.ID, workload.Mix{Name: b.Name}, true, opt)
 	cell := key.Mix + "|" + label
 	ctx, sp := cellSpan(opt, cell)

@@ -283,10 +283,9 @@ type runKey struct {
 }
 
 // profileKey identifies one functional profile in the server's profile
-// cache. Policy is absent — profiles are policy-independent — and the
-// replay-shaping knobs (Banks, SampleClusters, SampleWarmup) are
-// normalised away, so a sampled sweep's six-plus policies per mix share
-// one profiling pass.
+// cache. Policy is absent — profiles are policy-independent — and Cfg is
+// the profile identity (sim.Config.ProfileIdentity), so a sampled
+// sweep's six-plus policies per mix share one profiling pass.
 type profileKey struct {
 	Cfg      lap.Config
 	Workload string
@@ -299,11 +298,7 @@ type profileKey struct {
 // concurrent policies over one workload block on a per-key latch while
 // the first builds the profile.
 func (s *Server) profileFor(sp *runSpec) (*lap.SampleProfile, error) {
-	kcfg := sp.cfg
-	kcfg.Banks = 0
-	kcfg.SampleClusters = 0
-	kcfg.SampleWarmup = 0
-	key := profileKey{Cfg: kcfg, Workload: sp.key.Workload, Accesses: sp.accesses, Seed: sp.seed}
+	key := profileKey{Cfg: sp.cfg.ProfileIdentity(), Workload: sp.key.Workload, Accesses: sp.accesses, Seed: sp.seed}
 	return s.profiles.DoErr(context.Background(), key, func() (*lap.SampleProfile, error) {
 		if s.cfg.Checkpoints != nil {
 			// A digest-matching persisted profile replaces the functional
@@ -521,19 +516,16 @@ func (s *Server) resolveRun(req RunRequest) (*runSpec, error) {
 	}
 
 	// The Sample* fields ride inside Cfg, so sampled results key — and
-	// cache — separately from exact results of the same workload.
+	// cache — separately from exact results of the same workload. Cfg is
+	// the run identity, so requests differing only in a host-execution
+	// field (CheckpointEvery) coalesce onto one cache entry.
 	sp.key = runKey{
-		Cfg:      sp.cfg,
+		Cfg:      sp.cfg.RunIdentity(),
 		Policy:   string(policy),
 		Workload: workload,
 		Accesses: sp.accesses,
 		Seed:     seed,
 	}
-	// Banks only changes how a run is scheduled, never its result, and
-	// CheckpointEvery only changes durability, so requests differing in
-	// either coalesce onto one cache entry.
-	sp.key.Cfg.Banks = 0
-	sp.key.Cfg.CheckpointEvery = 0
 	return sp, nil
 }
 

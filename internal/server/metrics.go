@@ -37,7 +37,7 @@ type serverMetrics struct {
 
 	// accessRate is the most recent computed run's simulated-access
 	// throughput (accesses simulated per wall-clock second of execution)
-	// — the simulator-speed series the banked engine's speedups move.
+	// — the simulator-speed series a hot-path change moves.
 	accessRate *obs.Gauge
 	// bankOps accumulates each computed run's per-LLC-bank access counts
 	// (Result.BankOps). Series materialise lazily because the bank count

@@ -107,6 +107,31 @@ func TestRunSampledValidation(t *testing.T) {
 	}
 }
 
+// TestProfileIgnoresCheckpointEvery: CheckpointEvery has no effect on a
+// sampled run, so two requests differing in it share one profile. The
+// policies differ too, so the second request misses the run cache and
+// reaches the profile cache.
+func TestProfileIgnoresCheckpointEvery(t *testing.T) {
+	s, ts := testServer(t, Config{})
+	for i, tc := range []struct {
+		policy string
+		config string
+	}{
+		{"LAP", `{}`},
+		{"non-inclusive", `{"CheckpointEvery": 5000}`},
+	} {
+		req := sampledReq("WL1")
+		req.Policy = tc.policy
+		req.Config = json.RawMessage(tc.config)
+		if status, body := post(t, ts.URL+"/v1/run", req); status != http.StatusOK {
+			t.Fatalf("request %d: %d %s", i, status, body)
+		}
+	}
+	if ps := s.profiles.Stats(); ps.Computed != 1 {
+		t.Errorf("profile passes: got %d, want 1 (CheckpointEvery must not split profiles)", ps.Computed)
+	}
+}
+
 func TestSweepSampled(t *testing.T) {
 	s, ts := testServer(t, Config{})
 	req := SweepRequest{

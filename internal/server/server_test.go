@@ -169,6 +169,16 @@ func TestRunValidation(t *testing.T) {
 	if err := json.Unmarshal(body, &fe); err != nil || fe.Field != "Cores" {
 		t.Fatalf("400 body does not name the Cores field: %s", body)
 	}
+	// So does a misspelt config key, instead of being silently dropped.
+	status, body = post(t, ts.URL+"/v1/run",
+		RunRequest{Mix: "WL1", Config: json.RawMessage(`{"SampleIntervl": 1000}`)})
+	if status != http.StatusBadRequest {
+		t.Fatalf("misspelt config key: got %d (%s), want 400", status, body)
+	}
+	fe = errorResponse{}
+	if err := json.Unmarshal(body, &fe); err != nil || fe.Field != "SampleIntervl" {
+		t.Fatalf("400 body does not name the SampleIntervl key: %s", body)
+	}
 
 	// Malformed JSON and unknown fields are 400s too.
 	resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(`{"mix": `))

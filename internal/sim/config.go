@@ -94,19 +94,6 @@ type Config struct {
 	// Profile enables the per-block redundancy/CTC profiler.
 	Profile bool
 
-	// Banks selects the intra-run parallelism width: when greater than 1,
-	// the run's cores are sharded across up to Banks worker goroutines
-	// (clamped to Cores) that walk their private L1/L2 hierarchies
-	// concurrently while every shared-LLC operation executes in exactly
-	// the serial simulation order, so results are byte-identical to the
-	// serial path. 0 or 1 selects the serial loop. Runs that are
-	// coherent, MOESI-tracked, profiled, telemetry-observed, or under the
-	// inclusive controller fall back to the serial loop automatically
-	// (their access walks touch cross-core state). Unlike L3Banks this is
-	// a host-execution knob, not a timing-model parameter: it never
-	// changes simulation results.
-	Banks int
-
 	// MSHREntries > 0 models a bounded table of miss-status holding
 	// registers in front of main memory: concurrent LLC misses to a block
 	// already in flight merge with the outstanding fill instead of
@@ -147,14 +134,34 @@ type Config struct {
 
 	// CheckpointEvery, when positive, snapshots the full machine state
 	// every CheckpointEvery executed accesses (summed across cores) so an
-	// attached checkpoint sink can persist them (RunCheckpointed). Like
-	// Banks it is a host-execution knob with no effect on results — a
-	// checkpointed run is byte-identical to an uninterrupted one — so the
-	// memo layers normalize it out of their keys. Checkpointing forces
-	// the serial loop and silently disables itself on configurations
+	// attached checkpoint sink can persist them (RunCheckpointed). It is
+	// a host-execution knob with no effect on results — a checkpointed
+	// run is byte-identical to an uninterrupted one — so RunIdentity
+	// drops it. Checkpointing silently disables itself on configurations
 	// whose state is not serialized (Coherent, TrackMOESI, Profile,
 	// UseDRAM, sampled mode, telemetry).
 	CheckpointEvery uint64
+}
+
+// RunIdentity returns c with every host-execution field zeroed: the
+// fields that change how a run executes but never its result. Two
+// configs with equal run identities produce identical results, so every
+// memo, checkpoint and profile key is built from it; no other package
+// names those fields.
+func (c Config) RunIdentity() Config {
+	c.CheckpointEvery = 0
+	return c
+}
+
+// ProfileIdentity is RunIdentity with the replay-shaping sampling knobs
+// (SampleClusters, SampleWarmup) also zeroed: they select and warm
+// representatives from a functional profile but do not change the
+// profile itself, so configs with equal profile identities share one.
+func (c Config) ProfileIdentity() Config {
+	c = c.RunIdentity()
+	c.SampleClusters = 0
+	c.SampleWarmup = 0
+	return c
 }
 
 // DefaultConfig returns the paper's Table II system with an STT-RAM LLC:

@@ -23,10 +23,6 @@ import (
 //     O(1) by swapping in source forks captured during profiling. Cache
 //     state is deliberately kept (stale but warm); functional warmup
 //     intervals re-freshen it before measurements resume.
-//
-// The Engine always runs serially (Config.Banks is ignored): sampled
-// runs get their speedup from skipping intervals, not from intra-run
-// parallelism, and the telemetry seam requires the serial order anyway.
 type Engine struct {
 	m *machine
 	// scratch is the functional loop's decode buffer: functional windows

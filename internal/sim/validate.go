@@ -48,8 +48,6 @@ func (c Config) Validate() error {
 		return fieldErrf("MLP", "must be positive (got %g)", c.MLP)
 	case c.PrefetchDegree < 0:
 		return fieldErrf("PrefetchDegree", "prefetch degree must be non-negative (got %d)", c.PrefetchDegree)
-	case c.Banks < 0:
-		return fieldErrf("Banks", "worker banks must be non-negative (got %d)", c.Banks)
 	case c.MSHREntries < 0:
 		return fieldErrf("MSHREntries", "MSHR entries must be non-negative (got %d)", c.MSHREntries)
 	case c.SampleInterval > 0 && c.SampleInterval < 1000:
