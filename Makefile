@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-ab bench-json alloc-gate chaos ci lapbench-test obs-smoke policy-smoke quick resume-smoke sample-smoke serve serve-smoke trace-smoke
+.PHONY: all build test race bench bench-ab bench-json alloc-gate chaos ci lapbench-test obs-smoke policy-smoke quick resume-smoke serve serve-smoke trace-smoke
 
 all: build
 
@@ -28,7 +28,7 @@ bench:
 # stamped with the current git revision; same label+rev replaces the
 # latest entry, anything else appends a new trajectory point.
 LABEL ?= after
-BENCH_SUITE = 'BenchmarkSim|BenchmarkCacheLookup|BenchmarkLoopAwareVictim|BenchmarkWorkloadGen|BenchmarkFig14$$|BenchmarkFig14Sampled'
+BENCH_SUITE = 'BenchmarkSim|BenchmarkCacheLookup|BenchmarkLoopAwareVictim|BenchmarkWorkloadGen|BenchmarkFig14$$'
 bench-json:
 	( $(GO) test -bench $(BENCH_SUITE) -benchmem -benchtime=1x -run '^$$' . && \
 	  $(GO) test -bench BenchmarkAccessAllocs -benchmem -benchtime=200000x -run '^$$' ./internal/sim ) \
@@ -63,13 +63,6 @@ alloc-gate:
 policy-smoke:
 	$(GO) run ./cmd/policysmoke
 
-# Sampled-simulation speed/accuracy gate: one Fig. 14 mix, exact vs
-# interval-sampled across the six STT-RAM policies, asserting the
-# measured speedup floor and per-policy error bound (see cmd/samplesmoke
-# and the "Sampled simulation" section of EXPERIMENTS.md).
-sample-smoke:
-	$(GO) run ./cmd/samplesmoke
-
 # Crash-safe checkpointing gate: boot lapserved with -checkpoint-dir,
 # SIGKILL it mid-simulation, restart on the same directory, re-issue the
 # run, and require the response byte-identical to an uninterrupted
@@ -101,7 +94,6 @@ ci:
 	$(MAKE) bench-json
 	$(GO) run ./cmd/lapserved -smoke
 	$(MAKE) trace-smoke
-	$(MAKE) sample-smoke
 	$(MAKE) resume-smoke
 	$(MAKE) obs-smoke
 

@@ -62,26 +62,6 @@ func BenchmarkFig14(b *testing.B)  { benchArtifact(b, "fig14") }
 func BenchmarkFig14Serial(b *testing.B)   { benchArtifactJobs(b, "fig14", 1) }
 func BenchmarkFig14Parallel(b *testing.B) { benchArtifactJobs(b, "fig14", 0) }
 
-// BenchmarkFig14Sampled regenerates Fig. 14 in interval-sampled mode
-// (one functional profiling pass per mix, detailed simulation of one
-// representative per cluster, extrapolation by weight). Compare ns/op
-// against BenchmarkFig14 in BENCH_sim.json for the exact-vs-sampled
-// speedup; `make sample-smoke` asserts the accompanying accuracy bound.
-func BenchmarkFig14Sampled(b *testing.B) {
-	opt := experiments.Quick()
-	// The recommended sampled operating point (see EXPERIMENTS.md):
-	// 1000-access intervals, auto clusters, one warmup interval.
-	opt.SampleInterval = 1000
-	gen := experiments.Registry(opt)["fig14"]
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		experiments.ResetMemo()
-		tab := gen()
-		if len(tab.Rows) == 0 {
-			b.Fatal("artifact fig14 produced no rows")
-		}
-	}
-}
 func BenchmarkFig15(b *testing.B) { benchArtifact(b, "fig15") }
 func BenchmarkFig16(b *testing.B) { benchArtifact(b, "fig16") }
 func BenchmarkFig17(b *testing.B) { benchArtifact(b, "fig17") }

@@ -15,14 +15,10 @@
 // Usage:
 //
 //	lapexp [-quick] [-accesses N] [-seed S] [-jobs N] [-timings out.json]
-//	       [-mode exact|sampled] [-interval N] [-clusters K] [artifact ...]
+//	       [-checkpoint-dir DIR] [artifact ...]
 //
-// The default -mode exact is bit-reproducible run to run. -mode sampled
-// switches eligible runs to interval-sampled simulation (one functional
-// profiling pass per workload, detailed simulation of one
-// representative interval per cluster, extrapolation by cluster
-// weight): ~10-50x faster sweeps at a small, reported accuracy cost.
-// See EXPERIMENTS.md "Sampled simulation".
+// Every run is an exact simulation, so output is bit-reproducible run
+// to run.
 package main
 
 import (
@@ -100,10 +96,6 @@ func main() {
 	csvDir := flag.String("csv", "", "also save each artifact as CSV into this directory")
 	timings := flag.String("timings", "", "write per-artifact wall-clock and runs/sec JSON to this file")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event timeline of every simulation cell to this file (.jsonl for JSONL)")
-	mode := flag.String("mode", "exact", "simulation mode: exact (default, bit-reproducible) or sampled (interval sampling, estimates)")
-	interval := flag.Uint64("interval", 0, "sampled mode: interval length in accesses per core (0 = accesses/50, min 1000)")
-	clusters := flag.Int("clusters", 0, "sampled mode: detailed intervals per run (0 = ~sqrt(intervals))")
-	sampleWarmup := flag.Int("sample-warmup", 1, "sampled mode: functional re-warm intervals before each representative")
 	checkpointDir := flag.String("checkpoint-dir", "", "durable checkpoint store: runs snapshot and resume across invocations (tables byte-identical either way)")
 	checkpointEvery := flag.Uint64("checkpoint-every", 1_000_000, "checkpoint spacing in accesses, summed over cores (with -checkpoint-dir)")
 	eventsOut := flag.String("events", "", `append cell lifecycle events (cell.start/finish/failed) as JSON lines to this file ("-" = stderr; tables byte-identical either way)`)
@@ -120,22 +112,6 @@ func main() {
 		opt.Seed = *seed
 	}
 	opt.Jobs = *jobs
-	switch *mode {
-	case "exact":
-	case "sampled":
-		opt.SampleInterval = *interval
-		if opt.SampleInterval == 0 {
-			opt.SampleInterval = opt.Accesses / 50
-		}
-		if opt.SampleInterval < 1000 {
-			opt.SampleInterval = 1000
-		}
-		opt.SampleClusters = *clusters
-		opt.SampleWarmup = *sampleWarmup
-	default:
-		fmt.Fprintf(os.Stderr, "lapexp: unknown -mode %q (want exact or sampled)\n", *mode)
-		os.Exit(2)
-	}
 	if *traceOut != "" {
 		// Tables stay byte-identical; the tracer only observes the cells
 		// (wall-clock spans, memo compute-vs-recall provenance).

@@ -89,6 +89,7 @@ import (
 	"repro/internal/obs/journal"
 	"repro/internal/pool"
 	"repro/internal/server"
+	"repro/internal/servertest"
 )
 
 func main() {
@@ -257,16 +258,16 @@ func runSmoke(cfg server.Config) error {
 	client := &http.Client{Timeout: time.Minute}
 
 	// 1. Liveness and readiness both green on a fresh instance.
-	if err := expectStatus(client, http.MethodGet, base+"/healthz", nil, http.StatusOK); err != nil {
+	if err := servertest.ExpectStatus(client, http.MethodGet, base+"/healthz", nil, http.StatusOK); err != nil {
 		return fmt.Errorf("healthz: %w", err)
 	}
-	if err := expectStatus(client, http.MethodGet, base+"/readyz", nil, http.StatusOK); err != nil {
+	if err := servertest.ExpectStatus(client, http.MethodGet, base+"/readyz", nil, http.StatusOK); err != nil {
 		return fmt.Errorf("readyz: %w", err)
 	}
 
 	// 2. One real simulation.
 	run := []byte(`{"mix":"WH1","policy":"LAP","accesses":20000}`)
-	body, err := postJSON(client, base+"/v1/run", run)
+	body, err := servertest.PostJSON(client, base+"/v1/run", run)
 	if err != nil {
 		return fmt.Errorf("run: %w", err)
 	}
@@ -297,7 +298,7 @@ func runSmoke(cfg server.Config) error {
 	resp := make(chan []byte, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			b, err := postJSON(client, base+"/v1/run", run)
+			b, err := servertest.PostJSON(client, base+"/v1/run", run)
 			errs <- err
 			resp <- b
 		}()
@@ -357,8 +358,8 @@ func runSmoke(cfg server.Config) error {
 		stats.Events.Emitted, len(raw))
 
 	// 6. A misspelt config key is refused with a 400 that names it,
-	// never silently dropped (which would run the default exact mode).
-	const typo = "SampleIntervl"
+	// never silently dropped (which would run the default machine).
+	const typo = "PrefetchDegre"
 	cresp, err := client.Post(base+"/v1/run", "application/json",
 		strings.NewReader(`{"mix":"WH1","accesses":20000,"config":{"`+typo+`":1000}}`))
 	if err != nil {
@@ -402,33 +403,30 @@ func smokeMetrics(c *http.Client, base string) error {
 	}
 
 	for series, typ := range map[string]string{
-		"lapserved_breaker_state":               "gauge",
-		"lapserved_queue_depth":                 "gauge",
-		"lapserved_queue_limit":                 "gauge",
-		"lapserved_inflight_runs":               "gauge",
-		"lapserved_trace_store_entries":         "gauge",
-		"lapserved_breaker_shed_total":          "counter",
-		"lapserved_admit_rejected_total":        "counter",
-		"lapserved_runs_failed_total":           "counter",
-		"lapserved_memo_computed_total":         "counter",
-		"lapserved_memo_recalled_total":         "counter",
-		"lapserved_profile_memo_computed_total": "counter",
-		"lapserved_sample_runs_total":           "counter",
-		"lapserved_sample_last_work_reduction":  "gauge",
-		"lapserved_breaker_transitions_total":   "counter",
-		"lapserved_retry_attempts_total":        "counter",
-		"lapserved_run_duration_seconds":        "histogram",
-		"lapserved_queue_wait_seconds":          "histogram",
-		"lapserved_slo_burn_rate":               "gauge",
-		"lapserved_slo_requests_total":          "counter",
-		"lapserved_watchdog_healthy":            "gauge",
-		"lapserved_events_emitted_total":        "counter",
-		"lapserved_event_subscribers":           "gauge",
-		"go_goroutines":                         "gauge",
-		"go_gc_pause_seconds":                   "histogram",
-		"process_open_fds":                      "gauge",
-		"lapsim_accesses_per_second":            "gauge",
-		"lapsim_bank_ops_total":                 "counter",
+		"lapserved_breaker_state":             "gauge",
+		"lapserved_queue_depth":               "gauge",
+		"lapserved_queue_limit":               "gauge",
+		"lapserved_inflight_runs":             "gauge",
+		"lapserved_trace_store_entries":       "gauge",
+		"lapserved_breaker_shed_total":        "counter",
+		"lapserved_admit_rejected_total":      "counter",
+		"lapserved_runs_failed_total":         "counter",
+		"lapserved_memo_computed_total":       "counter",
+		"lapserved_memo_recalled_total":       "counter",
+		"lapserved_breaker_transitions_total": "counter",
+		"lapserved_retry_attempts_total":      "counter",
+		"lapserved_run_duration_seconds":      "histogram",
+		"lapserved_queue_wait_seconds":        "histogram",
+		"lapserved_slo_burn_rate":             "gauge",
+		"lapserved_slo_requests_total":        "counter",
+		"lapserved_watchdog_healthy":          "gauge",
+		"lapserved_events_emitted_total":      "counter",
+		"lapserved_event_subscribers":         "gauge",
+		"go_goroutines":                       "gauge",
+		"go_gc_pause_seconds":                 "histogram",
+		"process_open_fds":                    "gauge",
+		"lapsim_accesses_per_second":          "gauge",
+		"lapsim_bank_ops_total":               "counter",
 	} {
 		if got := exp.types[series]; got != typ {
 			return fmt.Errorf("family %s: type %q, want %q", series, got, typ)
@@ -492,47 +490,8 @@ func smokeMetrics(c *http.Client, base string) error {
 	return nil
 }
 
-func postJSON(c *http.Client, url string, body []byte) ([]byte, error) {
-	resp, err := c.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %d: %s", resp.StatusCode, out)
-	}
-	return out, nil
-}
-
 func getStats(c *http.Client, base string) (server.StatsResponse, error) {
 	var st server.StatsResponse
-	resp, err := c.Get(base + "/v1/stats")
-	if err != nil {
-		return st, fmt.Errorf("stats: %w", err)
-	}
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return st, fmt.Errorf("decoding stats: %w", err)
-	}
-	return st, nil
-}
-
-func expectStatus(c *http.Client, method, url string, body io.Reader, want int) error {
-	req, err := http.NewRequest(method, url, body)
-	if err != nil {
-		return err
-	}
-	resp, err := c.Do(req)
-	if err != nil {
-		return err
-	}
-	resp.Body.Close()
-	if resp.StatusCode != want {
-		return fmt.Errorf("got %d, want %d", resp.StatusCode, want)
-	}
-	return nil
+	err := servertest.GetJSON(c, base+"/v1/stats", &st)
+	return st, err
 }

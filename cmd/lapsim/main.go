@@ -21,6 +21,16 @@
 // for misses, writebacks, fills, redundant fills, and loop blocks) in
 // Chrome trace-event JSON — open it in Perfetto or chrome://tracing. A
 // .jsonl extension selects the compact JSONL stream instead.
+//
+// -checkpoint-dir DIR snapshots mix and bench runs every
+// -checkpoint-every accesses and resumes an interrupted invocation from
+// the latest valid snapshot, with byte-identical output. A configuration
+// whose state the checkpoint codec does not cover (-dram, -moesi, or a
+// -config with Coherent or Profile set) is refused with an error naming
+// the field, instead of running without checkpoints.
+//
+// Every run is an exact simulation; -interval only sets the -trace
+// telemetry window.
 package main
 
 import (
@@ -57,9 +67,6 @@ func main() {
 	mshr := flag.Int("mshr", 0, "MSHR entries per LLC miss path (0 = unbounded, the pre-MSHR model)")
 	configPath := flag.String("config", "", "JSON machine configuration to start from")
 	metricsFile := flag.String("metrics", "", "write a Prometheus text exposition of the run's counters to this file")
-	mode := flag.String("mode", "exact", "simulation mode: exact (default) or sampled — interval-sampled simulation; -interval is then the window length in accesses per core")
-	clusters := flag.Int("clusters", 0, "sampled mode: detailed intervals per run (0 = ~sqrt(intervals))")
-	sampleWarmup := flag.Int("sample-warmup", 1, "sampled mode: functional re-warm intervals before each representative")
 	checkpointDir := flag.String("checkpoint-dir", "", "durable checkpoint store: snapshot runs and resume interrupted invocations (mix/bench workloads)")
 	checkpointEvery := flag.Uint64("checkpoint-every", 1_000_000, "checkpoint spacing in accesses, summed over cores (with -checkpoint-dir)")
 	flag.Parse()
@@ -109,26 +116,6 @@ func main() {
 	if *mshr > 0 {
 		cfg.MSHREntries = *mshr
 	}
-	sampled := false
-	switch *mode {
-	case "exact":
-	case "sampled":
-		sampled = true
-		if *replayFile != "" {
-			fatal("-mode sampled does not support -replay (profile a mix or bench workload instead)")
-		}
-		if *threads > 0 {
-			fatal("-mode sampled cannot run threaded workloads (coherent state does not survive interval jumps)")
-		}
-		if *traceOut != "" {
-			fatal("-mode sampled does not record telemetry timelines; drop -trace or use -mode exact")
-		}
-		cfg.SampleInterval = *interval
-		cfg.SampleClusters = *clusters
-		cfg.SampleWarmup = *sampleWarmup
-	default:
-		fatal("unknown -mode %q (want exact or sampled)", *mode)
-	}
 	var ckpt *lap.CheckpointStore
 	if *checkpointDir != "" {
 		if *replayFile != "" || *threads > 0 {
@@ -137,22 +124,24 @@ func main() {
 		if *traceOut != "" {
 			fatal("-checkpoint-dir does not combine with -trace (the checkpointed engine runs unobserved)")
 		}
+		// Refuse up front rather than run cold with no checkpoint written.
+		if fe := cfg.CheckpointBlocker(); fe != nil {
+			fatal("-checkpoint-dir: %v", fe)
+		}
 		var err error
 		if ckpt, err = lap.OpenCheckpointStore(*checkpointDir); err != nil {
 			fatal("%v", err)
 		}
-		if !sampled {
-			cfg.CheckpointEvery = *checkpointEvery
-		}
+		cfg.CheckpointEvery = *checkpointEvery
 	}
 	if err := lap.ValidateConfig(cfg); err != nil {
 		fatal("%v", err)
 	}
 
 	// The policy registry owns name resolution: canonicalisation, the
-	// "all" expansion, and the capability gates (hybrid-only policies on
-	// uniform LLCs, exact-only policies in sampled mode) behave exactly
-	// as in the library and the lapserved API.
+	// "all" expansion, and the capability gate (hybrid-only policies on
+	// uniform LLCs) behave exactly as in the library and the lapserved
+	// API.
 	policies, notices, err := lap.ResolvePolicies(cfg, *policy)
 	if err != nil {
 		fatal("%v", err)
@@ -163,37 +152,12 @@ func main() {
 	if *bench != "" && *threads > 0 {
 		cfg.Cores = *threads
 	}
-	// In sampled mode one functional profile serves every policy: the
-	// signatures and checkpoints are policy-independent, so the sweep
-	// pays the profiling pass once.
-	var prof *lap.SampleProfile
-	if sampled {
-		mix, err := sampledMix(*bench, *mixArg, cfg.Cores)
-		if err != nil {
-			fatal("%v", err)
-		}
-		if ckpt != nil {
-			var built bool
-			prof, built, err = lap.LoadOrBuildSampleProfile(cfg, mix, *accesses, *seed, ckpt)
-			if err == nil && !built {
-				fmt.Fprintln(os.Stderr, "lapsim: [profile restored from checkpoint store]")
-			}
-		} else {
-			prof, err = lap.BuildSampleProfile(cfg, mix, *accesses, *seed)
-		}
-		if err != nil {
-			fatal("%v", err)
-		}
-	}
 	// One shared tracer; each policy's run renders onto its own track.
 	var tracer *lap.Tracer
 	if *traceOut != "" {
 		tracer = lap.NewTracer(0)
 	}
 	runOne := func(p lap.Policy) (lap.Result, error) {
-		if sampled {
-			return lap.RunSampledProfile(cfg, p, prof)
-		}
 		tel := lap.TraceTelemetry(tracer, string(p), *interval)
 		switch {
 		case *replayFile != "":
@@ -399,28 +363,6 @@ func report(r lap.Result) {
 		fmt.Printf(" %.3f", ipc)
 	}
 	fmt.Println()
-	if s := r.Sample; s != nil {
-		fmt.Printf("sampled           %d/%d intervals detailed (+%d warmup), %d clusters, %.1fx work reduction\n",
-			s.IntervalsDetailed, s.IntervalsProfiled, s.IntervalsWarmup, s.Clusters, s.WorkReduction)
-		fmt.Printf("confidence        miss rate ±%.2f%%, EPI ±%.2f%% (95%% CI)\n",
-			100*s.MissRateRelCI, 100*s.EPIRelCI)
-	}
-}
-
-// sampledMix resolves the workload for a sampled run: -bench duplicates
-// one benchmark per core, -mix resolves as usual.
-func sampledMix(bench, mixArg string, cores int) (lap.Mix, error) {
-	switch {
-	case bench != "":
-		if _, err := lap.BenchmarkByName(bench); err != nil {
-			return lap.Mix{}, err
-		}
-		return lap.DuplicateMix(bench, cores), nil
-	case mixArg != "":
-		return resolveMix(mixArg, cores)
-	default:
-		return lap.Mix{}, fmt.Errorf("one of -mix or -bench is required in sampled mode")
-	}
 }
 
 func fatal(format string, args ...any) {

@@ -39,6 +39,7 @@ import (
 
 	"repro/internal/obs/journal"
 	"repro/internal/server"
+	"repro/internal/servertest"
 )
 
 const sweepBody = `{"mixes":["WH1"],"policies":["LAP","non-inclusive"],"accesses":20000,"jobs":2}`
@@ -71,7 +72,7 @@ func run() error {
 		return err
 	}
 
-	sweepOut, err := postJSON(client, base+"/v1/sweep", []byte(sweepBody))
+	sweepOut, err := servertest.PostJSON(client, base+"/v1/sweep", []byte(sweepBody))
 	if err != nil {
 		return fmt.Errorf("sweep: %w", err)
 	}
@@ -123,7 +124,7 @@ func run() error {
 		return err
 	}
 	defer quietShutdown()
-	quietOut, err := postJSON(client, quietBase+"/v1/sweep", []byte(sweepBody))
+	quietOut, err := servertest.PostJSON(client, quietBase+"/v1/sweep", []byte(sweepBody))
 	if err != nil {
 		return fmt.Errorf("unsubscribed sweep: %w", err)
 	}
@@ -134,18 +135,18 @@ func run() error {
 	fmt.Println("obssmoke: byte-identity OK (subscribed == unsubscribed sweep)")
 
 	// 4. Drain flips readiness, not liveness.
-	if err := expectStatus(client, base+"/readyz", http.StatusOK); err != nil {
+	if err := servertest.ExpectStatus(client, http.MethodGet, base+"/readyz", nil, http.StatusOK); err != nil {
 		return fmt.Errorf("readyz before drain: %w", err)
 	}
 	s.SetDraining(true)
-	if err := expectStatus(client, base+"/readyz", http.StatusServiceUnavailable); err != nil {
+	if err := servertest.ExpectStatus(client, http.MethodGet, base+"/readyz", nil, http.StatusServiceUnavailable); err != nil {
 		return fmt.Errorf("readyz during drain: %w", err)
 	}
-	if err := expectStatus(client, base+"/healthz", http.StatusOK); err != nil {
+	if err := servertest.ExpectStatus(client, http.MethodGet, base+"/healthz", nil, http.StatusOK); err != nil {
 		return fmt.Errorf("healthz during drain: %w", err)
 	}
 	s.SetDraining(false)
-	if err := expectStatus(client, base+"/readyz", http.StatusOK); err != nil {
+	if err := servertest.ExpectStatus(client, http.MethodGet, base+"/readyz", nil, http.StatusOK); err != nil {
 		return fmt.Errorf("readyz after drain lifted: %w", err)
 	}
 	fmt.Println("obssmoke: readiness split OK (readyz flips, healthz steady)")
@@ -370,14 +371,8 @@ func (st *stream) collectUntil(kind string, timeout time.Duration) ([]frame, err
 func waitSubscribers(c *http.Client, base string, n int) error {
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := c.Get(base + "/v1/stats")
-		if err != nil {
-			return err
-		}
 		var st server.StatsResponse
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
+		if err := servertest.GetJSON(c, base+"/v1/stats", &st); err != nil {
 			return err
 		}
 		if st.Events != nil && st.Events.Subscribers >= n {
@@ -386,32 +381,4 @@ func waitSubscribers(c *http.Client, base string, n int) error {
 		time.Sleep(5 * time.Millisecond)
 	}
 	return fmt.Errorf("journal never reached %d subscribers", n)
-}
-
-func postJSON(c *http.Client, url string, body []byte) ([]byte, error) {
-	resp, err := c.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %d: %s", resp.StatusCode, out)
-	}
-	return out, nil
-}
-
-func expectStatus(c *http.Client, url string, want int) error {
-	resp, err := c.Get(url)
-	if err != nil {
-		return err
-	}
-	resp.Body.Close()
-	if resp.StatusCode != want {
-		return fmt.Errorf("%s: got %d, want %d", url, resp.StatusCode, want)
-	}
-	return nil
 }

@@ -28,7 +28,6 @@ package main
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -40,6 +39,8 @@ import (
 	"strings"
 	"syscall"
 	"time"
+
+	"repro/internal/servertest"
 )
 
 func main() {
@@ -82,7 +83,7 @@ func run(bin string, accesses, every, minInterval uint64, timeout time.Duration)
 	// Phase 1: the uninterrupted, checkpoint-free reference.
 	ref, err := withServer(bin, nil, timeout, func(base string) ([]byte, error) {
 		fmt.Println("resumesmoke: [1/3] reference run (no checkpointing)")
-		return postJSON(client, base+"/v1/run", reqBody(accesses))
+		return servertest.PostJSON(client, base+"/v1/run", reqBody(accesses))
 	})
 	if err != nil {
 		return fmt.Errorf("reference: %w", err)
@@ -98,7 +99,7 @@ func run(bin string, accesses, every, minInterval uint64, timeout time.Duration)
 	fmt.Println("resumesmoke: [2/3] checkpointed run, SIGKILL mid-simulation")
 	done := make(chan error, 1)
 	go func() {
-		_, err := postJSON(client, base+"/v1/run", reqBody(accesses))
+		_, err := servertest.PostJSON(client, base+"/v1/run", reqBody(accesses))
 		done <- err
 	}()
 	if err := waitForCheckpoints(ckDir, minInterval, done, timeout); err != nil {
@@ -121,7 +122,7 @@ func run(bin string, accesses, every, minInterval uint64, timeout time.Duration)
 	// warm-start and reproduce the reference bytes exactly.
 	return withServerErr(bin, ckArgs, timeout, func(base string) error {
 		fmt.Println("resumesmoke: [3/3] restart, re-issue, verify")
-		got, err := postJSON(client, base+"/v1/run", reqBody(accesses))
+		got, err := servertest.PostJSON(client, base+"/v1/run", reqBody(accesses))
 		if err != nil {
 			return fmt.Errorf("re-issued run: %w", err)
 		}
@@ -134,7 +135,7 @@ func run(bin string, accesses, every, minInterval uint64, timeout time.Duration)
 				IntervalsSaved uint64 `json:"resume_intervals_saved"`
 			} `json:"checkpoint"`
 		}
-		if err := getJSON(client, base+"/v1/stats", &st); err != nil {
+		if err := servertest.GetJSON(client, base+"/v1/stats", &st); err != nil {
 			return err
 		}
 		if st.Checkpoint == nil || st.Checkpoint.Restores < 1 {
@@ -251,34 +252,6 @@ func withServer(bin string, extra []string, timeout time.Duration, fn func(base 
 func withServerErr(bin string, extra []string, timeout time.Duration, fn func(base string) error) error {
 	_, err := withServer(bin, extra, timeout, func(base string) ([]byte, error) { return nil, fn(base) })
 	return err
-}
-
-func postJSON(c *http.Client, url string, body []byte) ([]byte, error) {
-	resp, err := c.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s: status %d: %s", url, resp.StatusCode, out)
-	}
-	return out, nil
-}
-
-func getJSON(c *http.Client, url string, dst any) error {
-	resp, err := c.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s: status %d", url, resp.StatusCode)
-	}
-	return json.NewDecoder(resp.Body).Decode(dst)
 }
 
 func getText(c *http.Client, url string) (string, error) {

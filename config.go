@@ -89,9 +89,9 @@ func ValidateConfig(cfg Config) error {
 // ValidatePolicy resolves a policy name against the policy registry
 // under cfg, returning the canonical spelling ("lap+dwb" → "LAP+DWB").
 // Unknown names and policies cfg cannot run — hybrid-only on a uniform
-// LLC, sampled-ineligible when cfg.SampleInterval > 0 — are *FieldError
-// values on "Policy" carrying the valid-name list, the same error every
-// entry point (CLI, HTTP API, library) reports.
+// LLC — are *FieldError values on "Policy" carrying the valid-name
+// list, the same error every entry point (CLI, HTTP API, library)
+// reports.
 func ValidatePolicy(cfg Config, p Policy) (Policy, error) {
 	canon, err := cfg.ValidatePolicy(string(p))
 	if err != nil {

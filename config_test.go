@@ -136,7 +136,10 @@ func TestParseConfig(t *testing.T) {
 	}
 	// Unknown keys (a misspelt knob, a removed field) are rejected with
 	// a *FieldError naming the key rather than silently ignored.
-	for _, key := range []string{"SampleIntervl", "Banks"} {
+	// The keys of deleted features (sampled mode's Sample*, banked
+	// mode's Banks) are refused the same way: a stale config must never
+	// run exact in silence.
+	for _, key := range []string{"SampleIntervl", "SampleInterval", "SampleClusters", "SampleWarmup", "Banks"} {
 		_, err := ParseConfig([]byte(`{"` + key + `": 1000}`))
 		var fe *FieldError
 		if !errors.As(err, &fe) || fe.Field != key {

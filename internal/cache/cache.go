@@ -371,12 +371,9 @@ func (c *Cache) Reset() {
 	c.fills, c.Hits, c.Misses = 0, 0, 0
 }
 
-// State is a deep copy of a cache's contents — tags, valid bits,
-// recency order, line state bytes, and counters — detached from the live
-// arrays. Sampled simulation captures States during the profiling pass
-// and restores them before each measured interval, so a replay starts
-// from the warm state that trace position actually had rather than
-// whatever an earlier jump left behind.
+// State is a decoded cache snapshot — tags, valid bits, recency order,
+// line state bytes, and counters — held apart from the live arrays so
+// RestoreSnapshot can validate it before touching the cache.
 type State struct {
 	tags         []uint64
 	valid        []uint64
@@ -386,31 +383,10 @@ type State struct {
 	hits, misses uint64
 }
 
-// Snapshot copies the cache's current contents into a detached State.
-// When reuse is non-nil and geometry-compatible its backing arrays are
-// recycled, so a periodic snapshotter allocates only once.
-func (c *Cache) Snapshot(reuse *State) *State {
-	s := reuse
-	if s == nil || len(s.tags) != len(c.tags) {
-		s = &State{
-			tags:  make([]uint64, len(c.tags)),
-			valid: make([]uint64, len(c.valid)),
-			order: make([]uint8, len(c.order)),
-			meta:  make([]uint8, len(c.meta)),
-		}
-	}
-	copy(s.tags, c.tags)
-	copy(s.valid, c.valid)
-	copy(s.order, c.order)
-	copy(s.meta, c.meta)
-	s.fills, s.hits, s.misses = c.fills, c.Hits, c.Misses
-	return s
-}
-
-// Restore overwrites the cache's contents from a snapshot taken on a
-// cache with identical geometry. It panics on a size mismatch, since
+// restore overwrites the cache's contents from a snapshot of a cache
+// with identical geometry. It panics on a size mismatch, since
 // restoring across geometries is always a caller bug.
-func (c *Cache) Restore(s *State) {
+func (c *Cache) restore(s *State) {
 	if len(s.tags) != len(c.tags) || len(s.valid) != len(c.valid) ||
 		len(s.order) != len(c.order) || len(s.meta) != len(c.meta) {
 		panic(fmt.Sprintf("cache %q: restoring snapshot of different geometry", c.cfg.Name))

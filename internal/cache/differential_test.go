@@ -407,19 +407,17 @@ func roundTrip(t *testing.T, c *Cache, viaWire bool) *Cache {
 	t.Helper()
 	fresh := New(c.Config())
 	if !viaWire {
-		fresh.Restore(c.Snapshot(nil))
+		fresh.restore(snapshot(c))
 		return fresh
 	}
 	var e wire.Encoder
 	c.EncodeSnapshot(&e)
 	enc := append([]byte(nil), e.Bytes()...)
-	s, err := DecodeSnapshotState(wire.NewDecoder(enc))
+	s, err := decodeState(wire.NewDecoder(enc))
 	if err != nil {
 		t.Fatalf("decoding a live snapshot: %v", err)
 	}
-	var again wire.Encoder
-	s.Encode(&again)
-	if !bytes.Equal(again.Bytes(), enc) {
+	if !bytes.Equal(encodeState(s), enc) {
 		t.Fatal("decoded snapshot re-encodes to different bytes")
 	}
 	if err := fresh.RestoreSnapshot(wire.NewDecoder(enc)); err != nil {

@@ -2,9 +2,9 @@ package cache
 
 // Durable-state codecs. Checkpointing serializes live caches, dueling
 // monitors, and MSHR tables into the wire format; the codecs live here
-// because State's arrays are unexported by design. The layout is pinned
-// by the machine and profile payload versions one level up — no
-// per-structure versioning is needed.
+// because the cache arrays are unexported by design. The layout is
+// pinned by the machine payload version one level up — no per-structure
+// versioning is needed.
 
 import (
 	"fmt"
@@ -13,9 +13,9 @@ import (
 	"repro/internal/checkpoint/wire"
 )
 
-// encodeCacheArrays is the shared layout behind Cache.EncodeSnapshot
-// and State.Encode: live caches and detached snapshots hold the same
-// arrays. The per-line state bytes are written raw.
+// encodeCacheArrays is the snapshot layout behind Cache.EncodeSnapshot
+// and the inverse of decodeState. The per-line state bytes are written
+// raw.
 func encodeCacheArrays(e *wire.Encoder, tags, valid []uint64, order, meta []uint8, fills int, hits, misses uint64) {
 	e.U64s(tags)
 	e.U64s(valid)
@@ -37,27 +37,21 @@ func (c *Cache) EncodeSnapshot(e *wire.Encoder) {
 // input or a geometry mismatch returns an error and leaves the cache
 // untouched.
 func (c *Cache) RestoreSnapshot(d *wire.Decoder) error {
-	s, err := DecodeSnapshotState(d)
+	s, err := decodeState(d)
 	if err != nil {
 		return err
 	}
 	if len(s.tags) != len(c.tags) || len(s.valid) != len(c.valid) {
 		return fmt.Errorf("cache %q: snapshot geometry mismatch", c.cfg.Name)
 	}
-	c.Restore(s)
+	c.restore(s)
 	return nil
 }
 
-// Encode appends a detached snapshot to e in the same layout as
-// Cache.EncodeSnapshot.
-func (s *State) Encode(e *wire.Encoder) {
-	encodeCacheArrays(e, s.tags, s.valid, s.order, s.meta, s.fills, s.hits, s.misses)
-}
-
-// DecodeSnapshotState reads one cache snapshot into a detached State,
-// rejecting any payload whose arrays do not describe a reachable cache
-// state (see validate).
-func DecodeSnapshotState(d *wire.Decoder) (*State, error) {
+// decodeState reads one cache snapshot into a State, rejecting any
+// payload whose arrays do not describe a reachable cache state (see
+// validate).
+func decodeState(d *wire.Decoder) (*State, error) {
 	s := &State{
 		tags:  d.U64s(),
 		valid: d.U64s(),

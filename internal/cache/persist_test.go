@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -8,7 +9,7 @@ import (
 )
 
 // warmState returns a 4-set, 4-way cache with a mix of valid and invalid
-// lines and the detached State of its contents.
+// lines and a detached State of its contents.
 func warmState(t *testing.T) (*Cache, *State) {
 	t.Helper()
 	c := New(Config{Name: "p", SizeBytes: 4 * 4 * 64, Ways: 4, BlockBytes: 64, Replacement: ReplRRIP})
@@ -22,12 +23,23 @@ func warmState(t *testing.T) (*Cache, *State) {
 	c.Invalidate(6)
 	c.Lookup(7)
 	c.Lookup(99)
-	return c, c.Snapshot(nil)
+	return c, snapshot(c)
+}
+
+// snapshot copies the cache's contents into a detached State.
+func snapshot(c *Cache) *State {
+	return &State{
+		tags:  slices.Clone(c.tags),
+		valid: slices.Clone(c.valid),
+		order: slices.Clone(c.order),
+		meta:  slices.Clone(c.meta),
+		fills: c.fills, hits: c.Hits, misses: c.Misses,
+	}
 }
 
 func encodeState(s *State) []byte {
 	var e wire.Encoder
-	s.Encode(&e)
+	encodeCacheArrays(&e, s.tags, s.valid, s.order, s.meta, s.fills, s.hits, s.misses)
 	return e.Bytes()
 }
 
@@ -59,14 +71,14 @@ func TestSnapshotRejectsInconsistentState(t *testing.T) {
 			c, s := warmState(t)
 			tc.corrupt(s)
 			enc := encodeState(s)
-			if _, err := DecodeSnapshotState(wire.NewDecoder(enc)); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("DecodeSnapshotState error = %v, want one mentioning %q", err, tc.want)
+			if _, err := decodeState(wire.NewDecoder(enc)); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("decodeState error = %v, want one mentioning %q", err, tc.want)
 			}
-			before := encodeState(c.Snapshot(nil))
+			before := encodeState(snapshot(c))
 			if err := c.RestoreSnapshot(wire.NewDecoder(enc)); err == nil {
 				t.Fatal("RestoreSnapshot accepted an inconsistent snapshot")
 			}
-			if string(encodeState(c.Snapshot(nil))) != string(before) {
+			if string(encodeState(snapshot(c))) != string(before) {
 				t.Fatal("a rejected RestoreSnapshot modified the cache")
 			}
 		})
@@ -115,7 +127,7 @@ func TestSnapshotRoundTripExact(t *testing.T) {
 	}
 }
 
-// TestRestoreChecksEveryArray pins the in-memory Restore geometry check:
+// TestRestoreChecksEveryArray pins the in-memory restore geometry check:
 // every array length must match, not just tags and valid.
 func TestRestoreChecksEveryArray(t *testing.T) {
 	for _, shrink := range []func(s *State){
@@ -127,10 +139,10 @@ func TestRestoreChecksEveryArray(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Error("Restore of a mismatched snapshot did not panic")
+					t.Error("restore of a mismatched snapshot did not panic")
 				}
 			}()
-			c.Restore(s)
+			c.restore(s)
 		}()
 	}
 }

@@ -1,12 +1,11 @@
 // Package checkpoint implements the durable, digest-keyed, crash-safe
-// on-disk store behind resumable simulations and persistent sampling
-// profiles.
+// on-disk store behind resumable simulations.
 //
 // Every entry is one file:
 //
 //	magic "LAPCKPT1" (8 bytes)
 //	format version   (uvarint)
-//	kind             (length-prefixed string: "run" or "profile")
+//	kind             (length-prefixed string, e.g. "run")
 //	config digest    (length-prefixed string)
 //	workload digest  (length-prefixed string)
 //	interval index   (uvarint)
@@ -54,12 +53,9 @@ const (
 	badExt  = ".bad"
 )
 
-// Entry kinds. The store treats kinds opaquely; these are the two the
-// simulator uses.
-const (
-	KindRun     = "run"
-	KindProfile = "profile"
-)
+// KindRun is the entry kind of exact-run machine snapshots, the only
+// kind the simulator writes. The store treats kinds opaquely.
+const KindRun = "run"
 
 // ErrCorrupt reports a checkpoint file that failed validation: bad
 // magic, CRC mismatch, truncation, or a malformed field. The file has

@@ -70,7 +70,7 @@ func TestStorePrunesOlderIntervals(t *testing.T) {
 	dir := t.TempDir()
 	st, _ := Open(dir)
 	k := testKey()
-	other := Key{Kind: KindProfile, Config: k.Config, Workload: k.Workload}
+	other := Key{Kind: "other", Config: k.Config, Workload: k.Workload}
 	if err := st.Put(other, Entry{Interval: 1, Payload: []byte("p")}); err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestDecodeCorruptionIsAlwaysTyped(t *testing.T) {
 func FuzzCheckpointRoundTrip(f *testing.F) {
 	k := testKey()
 	f.Add(encodeFile(k, Entry{Interval: 1, Accesses: 10, Payload: []byte("seed")}))
-	f.Add(encodeFile(Key{Kind: KindProfile, Config: Digest("c"), Workload: Digest("w")},
+	f.Add(encodeFile(Key{Kind: "other", Config: Digest("c"), Workload: Digest("w")},
 		Entry{Interval: 0, Accesses: 0, Payload: nil}))
 	f.Add([]byte(magic))
 	f.Add([]byte{})

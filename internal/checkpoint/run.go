@@ -9,7 +9,6 @@ package checkpoint
 // unusable payload never fails the run; it only costs the fast-forward.
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -75,65 +74,6 @@ func ResumableRun(st *Store, cfg sim.Config, workload, policy string, mkCtrl fun
 		}
 	}
 	return run(nil, sink)
-}
-
-// ErrProfileNotForkable reports sources that cannot back a restored
-// profile (they must support fork-and-skip replay).
-var ErrProfileNotForkable = errors.New("checkpoint: profile sources are not forkable")
-
-// Profile persistence is expressed through function values so this
-// package does not import internal/sample (sample imports sim; keeping
-// the store below both leaves the profile codec with its owner).
-type (
-	// ProfileBuilder runs the functional profiling pass from scratch.
-	ProfileBuilder[P any] func() (P, error)
-	// ProfileCodec encodes a profile to bytes / decodes one from bytes.
-	ProfileCodec[P any] struct {
-		Encode func(P) []byte
-		Decode func([]byte) (P, error)
-	}
-)
-
-// ProfileKey builds the store key for one sampling profile. Profiles
-// are policy-independent and keyed on the profile identity
-// (sim.Config.ProfileIdentity), like the in-process profile memos; the
-// workload descriptor must pin the trace and per-core length.
-func ProfileKey(cfg sim.Config, workload string) Key {
-	return Key{
-		Kind:     KindProfile,
-		Config:   DigestJSON(cfg.ProfileIdentity()),
-		Workload: Digest(workload),
-	}
-}
-
-// LoadOrBuildProfile returns the profile for key, loading it from the
-// store when a digest-matching entry exists and building + persisting
-// it otherwise. built reports which path ran (false = cache hit, the
-// functional pass was skipped). Durability failures degrade to a fresh
-// build, never an error; err is only a build failure.
-func LoadOrBuildProfile[P any](st *Store, key Key, intervals func(P) uint64, codec ProfileCodec[P], build ProfileBuilder[P]) (p P, built bool, err error) {
-	if st != nil {
-		if ent, lerr := st.Latest(key); lerr == nil {
-			if ferr := fault.Inject(fault.PointCheckpointRestore, key.String()); ferr != nil {
-				st.NoteRestoreFailed()
-			} else if prof, derr := codec.Decode(ent.Payload); derr == nil {
-				st.NoteRestored(intervals(prof))
-				return prof, false, nil
-			} else {
-				st.NoteRestoreFailed()
-				st.Drop(key)
-			}
-		}
-	}
-	p, err = build()
-	if err != nil {
-		return p, false, err
-	}
-	if st != nil {
-		payload := codec.Encode(p)
-		_ = st.Put(key, Entry{Interval: intervals(p), Accesses: 0, Payload: payload})
-	}
-	return p, true, nil
 }
 
 // String-building helper shared by the callers that label workloads.

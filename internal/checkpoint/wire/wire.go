@@ -1,8 +1,8 @@
 // Package wire implements the minimal binary encoding shared by every
-// durable simulator artifact: machine checkpoints, sampling profiles,
-// and the checkpoint store's file headers. It is deliberately a leaf
-// package (stdlib only, no repo imports) so that cache, core, sim, and
-// sample can all encode their own state without import cycles.
+// durable simulator artifact: machine checkpoints and the checkpoint
+// store's file headers. It is deliberately a leaf package (stdlib only,
+// no repo imports) so that cache, core, and sim can all encode their
+// own state without import cycles.
 //
 // The format is byte-oriented and self-delimiting: unsigned integers
 // are uvarints, floats are fixed 8-byte little-endian IEEE-754 bit
@@ -96,7 +96,7 @@ func (e *Encoder) F64s(v []float64) {
 // uint64, in declaration order. It panics on any other field type:
 // that is a codec bug (a counter struct grew a non-uint64 field and
 // the codec must be updated by hand), not a data error. Used for
-// core.Metrics and sim.Interval so that adding a counter field can
+// core.Metrics so that adding a counter field can
 // never silently drop it from checkpoints.
 func (e *Encoder) U64Struct(v any) {
 	rv := reflect.ValueOf(v)
@@ -115,38 +115,6 @@ func (e *Encoder) U64Struct(v any) {
 				rv.Type().Name(), rv.Type().Field(i).Name, f.Kind()))
 		}
 		e.U64(f.Uint())
-	}
-}
-
-// NumStruct appends every field of a struct whose fields are all
-// uint64 or float64, in declaration order (uint64 as uvarint, float64
-// as its fixed 8-byte bit pattern). Like U64Struct it panics on any
-// other field type: that is a codec bug, not a data error. Used for
-// sim.Interval, whose counter deltas grew a float64 energy field —
-// adding a field can never silently drop it from persisted profiles
-// (the field count is encoded, so older artifacts fail decode and are
-// rebuilt).
-func (e *Encoder) NumStruct(v any) {
-	rv := reflect.ValueOf(v)
-	if rv.Kind() == reflect.Pointer {
-		rv = rv.Elem()
-	}
-	if rv.Kind() != reflect.Struct {
-		panic(fmt.Sprintf("wire: NumStruct on %s", rv.Kind()))
-	}
-	n := rv.NumField()
-	e.U64(uint64(n))
-	for i := 0; i < n; i++ {
-		f := rv.Field(i)
-		switch f.Kind() {
-		case reflect.Uint64:
-			e.U64(f.Uint())
-		case reflect.Float64:
-			e.F64(f.Float())
-		default:
-			panic(fmt.Sprintf("wire: NumStruct field %s.%s is %s, not uint64 or float64",
-				rv.Type().Name(), rv.Type().Field(i).Name, f.Kind()))
-		}
 	}
 }
 
@@ -358,39 +326,5 @@ func (d *Decoder) U64Struct(v any) {
 				rv.Type().Name(), rv.Type().Field(i).Name, f.Kind()))
 		}
 		f.SetUint(d.U64())
-	}
-}
-
-// NumStruct fills a struct of uint64/float64 fields written by
-// Encoder.NumStruct. As with U64Struct, a field-count mismatch is a
-// decode error (old artifacts degrade to a rebuild, not a crash) while
-// an unsupported field kind is a codec-bug panic.
-func (d *Decoder) NumStruct(v any) {
-	rv := reflect.ValueOf(v)
-	if rv.Kind() != reflect.Pointer || rv.Elem().Kind() != reflect.Struct {
-		panic("wire: NumStruct decode needs a struct pointer")
-	}
-	rv = rv.Elem()
-	n := rv.NumField()
-	got := d.U64()
-	if d.err != nil {
-		return
-	}
-	if got != uint64(n) {
-		d.fail(fmt.Sprintf("struct %s has %d fields, artifact has %d",
-			rv.Type().Name(), n, got))
-		return
-	}
-	for i := 0; i < n; i++ {
-		f := rv.Field(i)
-		switch f.Kind() {
-		case reflect.Uint64:
-			f.SetUint(d.U64())
-		case reflect.Float64:
-			f.SetFloat(d.F64())
-		default:
-			panic(fmt.Sprintf("wire: NumStruct field %s.%s is %s, not uint64 or float64",
-				rv.Type().Name(), rv.Type().Field(i).Name, f.Kind()))
-		}
 	}
 }

@@ -5,21 +5,20 @@ import (
 	"testing"
 )
 
-type mixedCounters struct {
+type counters struct {
 	A uint64
 	B uint64
-	C float64
-	D uint64
+	C uint64
 }
 
-func TestNumStructRoundTrip(t *testing.T) {
-	in := mixedCounters{A: 1, B: 1 << 40, C: -0.0625, D: math.MaxUint64}
+func TestU64StructRoundTrip(t *testing.T) {
+	in := counters{A: 1, B: 1 << 40, C: math.MaxUint64}
 	var enc Encoder
-	enc.NumStruct(&in)
+	enc.U64Struct(&in)
 
-	var out mixedCounters
+	var out counters
 	d := NewDecoder(enc.Bytes())
-	d.NumStruct(&out)
+	d.U64Struct(&out)
 	if err := d.Err(); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -28,53 +27,53 @@ func TestNumStructRoundTrip(t *testing.T) {
 	}
 }
 
-// Float fields must survive bit-exactly, including non-finite values
-// and signed zero: restored profiles feed byte-identical resumed runs.
-func TestNumStructFloatBits(t *testing.T) {
+// Floats must survive bit-exactly, including non-finite values and
+// signed zero: checkpoints restore float64 cycle counts that feed
+// byte-identical resumed runs.
+func TestF64Bits(t *testing.T) {
 	for _, f := range []float64{0, math.Copysign(0, -1), math.Inf(1), math.NaN(), 3.14159e-300} {
-		in := mixedCounters{C: f}
 		var enc Encoder
-		enc.NumStruct(&in)
-		var out mixedCounters
+		enc.F64(f)
+		enc.F64s([]float64{f})
 		d := NewDecoder(enc.Bytes())
-		d.NumStruct(&out)
+		got, gots := d.F64(), d.F64s()
 		if err := d.Err(); err != nil {
 			t.Fatalf("decode %v: %v", f, err)
 		}
-		if math.Float64bits(out.C) != math.Float64bits(in.C) {
-			t.Fatalf("float bits changed: got %x want %x",
-				math.Float64bits(out.C), math.Float64bits(in.C))
+		for _, g := range []float64{got, gots[0]} {
+			if math.Float64bits(g) != math.Float64bits(f) {
+				t.Fatalf("float bits changed: got %x want %x", math.Float64bits(g), math.Float64bits(f))
+			}
 		}
 	}
 }
 
 // An artifact written with a different field count must latch a decode
-// error, not panic: old profiles degrade to a rebuild.
-func TestNumStructFieldCountMismatch(t *testing.T) {
+// error, not panic: old checkpoints degrade to a cold start.
+func TestU64StructFieldCountMismatch(t *testing.T) {
 	var enc Encoder
-	enc.U64(3) // claims 3 fields; mixedCounters has 4
+	enc.U64(2) // claims 2 fields; counters has 3
 	enc.U64(1)
 	enc.U64(2)
-	enc.U64(3)
 
-	var out mixedCounters
+	var out counters
 	d := NewDecoder(enc.Bytes())
-	d.NumStruct(&out)
+	d.U64Struct(&out)
 	if d.Err() == nil {
 		t.Fatal("expected decode error on field-count mismatch")
 	}
 }
 
-func TestNumStructRejectsOtherKinds(t *testing.T) {
+func TestU64StructRejectsOtherKinds(t *testing.T) {
 	type bad struct {
 		A uint64
-		B int32
+		B float64
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic on non-uint64/float64 field")
+			t.Fatal("expected panic on non-uint64 field")
 		}
 	}()
 	var enc Encoder
-	enc.NumStruct(&bad{})
+	enc.U64Struct(&bad{})
 }

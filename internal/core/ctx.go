@@ -87,13 +87,6 @@ type Ctx struct {
 	// EvictObserver, when non-nil, is notified of every LLC replacement
 	// eviction (dead-write predictors train on it).
 	EvictObserver func(block uint64)
-	// Functional switches the context into functional-warmup mode for
-	// sampled simulation: cache state (tags, recency, loop bits, dueling)
-	// still updates through the normal controller paths, and the cheap
-	// event counters in Met keep counting (interval signatures need them),
-	// but energy metering, bank/DRAM timing, and the MSHR are skipped —
-	// their state must not drift while the clock is frozen.
-	Functional bool
 }
 
 // regionOf maps an L3 way to its energy/timing region.
@@ -106,18 +99,12 @@ func (x *Ctx) regionOf(way int) energy.RegionID {
 
 // tagAccess meters one tag-array access.
 func (x *Ctx) tagAccess() {
-	if x.Functional {
-		return
-	}
 	x.E.AddTag()
 }
 
 // dataRead meters and times a data-array read of (set, way), returning
 // the latency including bank queueing.
 func (x *Ctx) dataRead(set, way int) uint64 {
-	if x.Functional {
-		return 0
-	}
 	r := x.regionOf(way)
 	x.E.AddRead(r)
 	return x.Banks.Access(set, x.Now, x.occ(x.ReadOcc[r], x.ReadCyc[r]), x.ReadCyc[r])
@@ -136,9 +123,6 @@ func (x *Ctx) occ(configured, lat uint64) uint64 {
 // usually discard the returned latency; the bank stays occupied either
 // way, which is how write pressure turns into read stalls.
 func (x *Ctx) dataWrite(set, way int) uint64 {
-	if x.Functional {
-		return 0
-	}
 	r := x.regionOf(way)
 	x.E.AddWrite(r)
 	return x.Banks.Access(set, x.Now, x.occ(x.WriteOcc[r], x.WriteCyc[r]), x.WriteCyc[r])
@@ -149,13 +133,6 @@ func (x *Ctx) dataWrite(set, way int) uint64 {
 // outstanding fill (no new memory read), and a full table delays the
 // issue until the earliest outstanding fill retires.
 func (x *Ctx) memRead(block uint64) uint64 {
-	if x.Functional {
-		// Count the read (miss-traffic signatures need it) but leave the
-		// MSHR and DRAM models untouched: their state is keyed to the
-		// cycle clock, which does not advance in functional mode.
-		x.Met.MemReads++
-		return 0
-	}
 	if t := x.MSHR; t != nil {
 		if wait, ok := t.Merge(block, x.Now); ok {
 			x.Met.MSHRMerges++
@@ -186,7 +163,7 @@ func (x *Ctx) memRead(block uint64) uint64 {
 // model still sees the access (row-buffer and bank occupancy effects).
 func (x *Ctx) memWrite(block uint64) {
 	x.Met.MemWrites++
-	if x.MemAccess != nil && !x.Functional {
+	if x.MemAccess != nil {
 		x.MemAccess(block, x.Now, true)
 	}
 }
@@ -203,11 +180,9 @@ func (x *Ctx) retire(way int, v cache.Line) {
 	if v.Dirty {
 		x.Met.L3DirtyEvictions++
 		x.memWrite(v.Tag)
-		if !x.Functional {
-			// Reading the block out of the data array for writeback costs a
-			// data-array read.
-			x.E.AddRead(x.regionOf(way))
-		}
+		// Reading the block out of the data array for writeback costs a
+		// data-array read.
+		x.E.AddRead(x.regionOf(way))
 	}
 	if x.Prof != nil {
 		x.Prof.OnL3Evict(v.Tag)

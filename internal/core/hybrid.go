@@ -182,11 +182,10 @@ func (c *Hybrid) migrate(x *Ctx, set, from, sram, ways int) {
 
 func init() {
 	RegisterPolicy(PolicyInfo{
-		Name:            "Lhybrid",
-		Description:     "LAP plus loop-block-aware SRAM/STT-RAM data placement",
-		NeedsHybridLLC:  true,
-		SampledEligible: true,
-		Rank:            9,
-		New:             func(PolicyParams) Controller { return NewLhybrid() },
+		Name:           "Lhybrid",
+		Description:    "LAP plus loop-block-aware SRAM/STT-RAM data placement",
+		NeedsHybridLLC: true,
+		Rank:           9,
+		New:            func(PolicyParams) Controller { return NewLhybrid() },
 	})
 }

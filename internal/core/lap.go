@@ -139,24 +139,21 @@ func (c *LAP) EvictL2(x *Ctx, v cache.Line) {
 
 func init() {
 	RegisterPolicy(PolicyInfo{
-		Name:            "LAP-LRU",
-		Description:     "LAP data flow with plain LRU replacement",
-		SampledEligible: true,
-		Rank:            6,
-		New:             func(PolicyParams) Controller { return NewLAPVariant(AlwaysLRU) },
+		Name:        "LAP-LRU",
+		Description: "LAP data flow with plain LRU replacement",
+		Rank:        6,
+		New:         func(PolicyParams) Controller { return NewLAPVariant(AlwaysLRU) },
 	})
 	RegisterPolicy(PolicyInfo{
-		Name:            "LAP-Loop",
-		Description:     "LAP data flow, always evicting non-loop-blocks first",
-		SampledEligible: true,
-		Rank:            7,
-		New:             func(PolicyParams) Controller { return NewLAPVariant(AlwaysLoopAware) },
+		Name:        "LAP-Loop",
+		Description: "LAP data flow, always evicting non-loop-blocks first",
+		Rank:        7,
+		New:         func(PolicyParams) Controller { return NewLAPVariant(AlwaysLoopAware) },
 	})
 	RegisterPolicy(PolicyInfo{
-		Name:            "LAP",
-		Description:     "LAP with set-dueling between LRU and loop-aware replacement",
-		SampledEligible: true,
-		Rank:            8,
-		New:             func(PolicyParams) Controller { return NewLAP() },
+		Name:        "LAP",
+		Description: "LAP with set-dueling between LRU and loop-aware replacement",
+		Rank:        8,
+		New:         func(PolicyParams) Controller { return NewLAP() },
 	})
 }

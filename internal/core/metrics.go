@@ -96,8 +96,8 @@ type Metrics struct {
 }
 
 // Sub subtracts o's counts from m, including the end-of-run
-// Instructions and Cycles fields. The sampled executor uses it to turn
-// two snapshots into an interval delta.
+// Instructions and Cycles fields. The simulator uses it to remove the
+// counts accumulated during warmup from a run's report.
 func (m *Metrics) Sub(o *Metrics) {
 	m.L3Accesses -= o.L3Accesses
 	m.L3Hits -= o.L3Hits
@@ -129,43 +129,6 @@ func (m *Metrics) Sub(o *Metrics) {
 	m.MSHRStalls -= o.MSHRStalls
 	m.Instructions -= o.Instructions
 	m.Cycles -= o.Cycles
-}
-
-// AddScaled accumulates k copies of o into m (again including
-// Instructions and Cycles): the sampled executor extrapolates a full
-// run by adding each representative interval's delta once per interval
-// in its cluster.
-func (m *Metrics) AddScaled(o *Metrics, k uint64) {
-	m.L3Accesses += o.L3Accesses * k
-	m.L3Hits += o.L3Hits * k
-	m.L3Misses += o.L3Misses * k
-	m.WritesFill += o.WritesFill * k
-	m.WritesDirty += o.WritesDirty * k
-	m.WritesClean += o.WritesClean * k
-	m.MigrationWrites += o.MigrationWrites * k
-	m.TagOnlyUpdates += o.TagOnlyUpdates * k
-	m.L3Evictions += o.L3Evictions * k
-	m.L3DirtyEvictions += o.L3DirtyEvictions * k
-	m.MemReads += o.MemReads * k
-	m.MemWrites += o.MemWrites * k
-	m.BackInvalidations += o.BackInvalidations * k
-	m.L1Accesses += o.L1Accesses * k
-	m.L1Misses += o.L1Misses * k
-	m.L2Accesses += o.L2Accesses * k
-	m.L2Misses += o.L2Misses * k
-	m.L2Evictions += o.L2Evictions * k
-	m.L2CleanEvictions += o.L2CleanEvictions * k
-	m.L2DirtyEvictions += o.L2DirtyEvictions * k
-	m.SnoopProbes += o.SnoopProbes * k
-	m.SnoopDirtyTransfers += o.SnoopDirtyTransfers * k
-	m.SnoopTraffic += o.SnoopTraffic * k
-	m.Prefetches += o.Prefetches * k
-	m.BypassedWrites += o.BypassedWrites * k
-	m.BypassedFills += o.BypassedFills * k
-	m.MSHRMerges += o.MSHRMerges * k
-	m.MSHRStalls += o.MSHRStalls * k
-	m.Instructions += o.Instructions * k
-	m.Cycles += o.Cycles * k
 }
 
 // AddWrite records a data-array write by source.

@@ -81,10 +81,6 @@ func (c *RDCopyback) EvictL2(x *Ctx, v cache.Line) {
 }
 
 func init() {
-	// The reuse clock and last-touch stamps accumulate over the whole
-	// run; interval-sampled simulation skips the accesses between
-	// intervals, which would inflate every estimated distance — so the
-	// policy is exact-mode only (refused, never silently wrong).
 	RegisterPolicy(PolicyInfo{
 		Name:        "rd-copyback",
 		Description: "exclusive flow, clean copy-backs gated on estimated reuse distance vs LLC capacity",

@@ -45,11 +45,6 @@ type PolicyInfo struct {
 	// NeedsHybridLLC marks policies that steer blocks between SRAM and
 	// STT-RAM partitions and therefore require Config.L3SRAMWays > 0.
 	NeedsHybridLLC bool
-	// SampledEligible marks policies whose results stay trustworthy
-	// under interval-sampled simulation. Predictor-table policies whose
-	// state cannot be re-warmed across interval jumps set it false and
-	// are refused (never silently wrong) in sampled mode.
-	SampledEligible bool
 	// Rank orders Policies()/PolicyNames() (paper Table IV order).
 	Rank int
 	// New builds a fresh controller; dueling state is per-run, so every

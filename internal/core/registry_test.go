@@ -65,8 +65,7 @@ func TestLookupPolicyDWBWrapper(t *testing.T) {
 	if info.Name != "exclusive+DWB" {
 		t.Fatalf("wrapped canonical name: %q", info.Name)
 	}
-	if info.NeedsHybridLLC != base.NeedsHybridLLC ||
-		info.SampledEligible != base.SampledEligible {
+	if info.NeedsHybridLLC != base.NeedsHybridLLC {
 		t.Fatalf("wrapped flags differ from base: %+v vs %+v", info, base)
 	}
 	ctrl := info.New(PolicyParams{})
@@ -104,27 +103,26 @@ func TestPolicyFactoryRoundTrip(t *testing.T) {
 }
 
 func TestPolicyCapabilityFlags(t *testing.T) {
-	wantFlags := map[string]struct{ hybrid, sampled bool }{
-		"non-inclusive":  {false, true},
-		"exclusive":      {false, true},
-		"inclusive":      {false, true},
-		"FLEXclusion":    {false, true},
-		"Dswitch":        {false, true},
-		"LAP-LRU":        {false, true},
-		"LAP-Loop":       {false, true},
-		"LAP":            {false, true},
-		"Lhybrid":        {true, true},
-		"reuse-detector": {false, false},
-		"rd-copyback":    {false, false},
+	wantHybrid := map[string]bool{
+		"non-inclusive":  false,
+		"exclusive":      false,
+		"inclusive":      false,
+		"FLEXclusion":    false,
+		"Dswitch":        false,
+		"LAP-LRU":        false,
+		"LAP-Loop":       false,
+		"LAP":            false,
+		"Lhybrid":        true,
+		"reuse-detector": false,
+		"rd-copyback":    false,
 	}
-	for name, want := range wantFlags {
+	for name, want := range wantHybrid {
 		info, ok := LookupPolicy(name)
 		if !ok {
 			t.Fatalf("%s not registered", name)
 		}
-		if info.NeedsHybridLLC != want.hybrid || info.SampledEligible != want.sampled {
-			t.Errorf("%s flags: hybrid=%v sampled=%v, want %+v",
-				name, info.NeedsHybridLLC, info.SampledEligible, want)
+		if info.NeedsHybridLLC != want {
+			t.Errorf("%s: NeedsHybridLLC=%v, want %v", name, info.NeedsHybridLLC, want)
 		}
 	}
 }

@@ -103,10 +103,6 @@ func (c *ReuseDetector) EvictL2(x *Ctx, v cache.Line) {
 }
 
 func init() {
-	// Bypass decisions depend on detector state accumulated over the
-	// whole run; interval-sampled simulation resets that state at every
-	// jump, which would systematically under-predict reuse — so the
-	// policy is exact-mode only (refused, never silently wrong).
 	RegisterPolicy(PolicyInfo{
 		Name:        "reuse-detector",
 		Description: "non-inclusive flow, fills and dirty insertions gated on detected LLC reuse",

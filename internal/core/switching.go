@@ -93,17 +93,15 @@ func (c *switching) EvictL2(x *Ctx, v cache.Line) {
 
 func init() {
 	RegisterPolicy(PolicyInfo{
-		Name:            "FLEXclusion",
-		Description:     "duels non-inclusion vs exclusion on capacity/bandwidth demand",
-		SampledEligible: true,
-		Rank:            4,
-		New:             func(PolicyParams) Controller { return NewFLEXclusion() },
+		Name:        "FLEXclusion",
+		Description: "duels non-inclusion vs exclusion on capacity/bandwidth demand",
+		Rank:        4,
+		New:         func(PolicyParams) Controller { return NewFLEXclusion() },
 	})
 	RegisterPolicy(PolicyInfo{
-		Name:            "Dswitch",
-		Description:     "duels non-inclusion vs exclusion weighing LLC writes by energy",
-		SampledEligible: true,
-		Rank:            5,
-		New:             func(p PolicyParams) Controller { return NewDswitch(p.MissNJ, p.WriteNJ) },
+		Name:        "Dswitch",
+		Description: "duels non-inclusion vs exclusion weighing LLC writes by energy",
+		Rank:        5,
+		New:         func(p PolicyParams) Controller { return NewDswitch(p.MissNJ, p.WriteNJ) },
 	})
 }

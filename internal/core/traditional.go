@@ -144,26 +144,23 @@ func (c *Inclusive) EvictL2(x *Ctx, v cache.Line) { c.noni.EvictL2(x, v) }
 
 func init() {
 	RegisterPolicy(PolicyInfo{
-		Name:            "non-inclusive",
-		Description:     "baseline inclusion property; fills both levels, drops clean victims",
-		SampledEligible: true,
-		Rank:            1,
-		New:             func(PolicyParams) Controller { return NewNonInclusive() },
+		Name:        "non-inclusive",
+		Description: "baseline inclusion property; fills both levels, drops clean victims",
+		Rank:        1,
+		New:         func(PolicyParams) Controller { return NewNonInclusive() },
 	})
 	RegisterPolicy(PolicyInfo{
-		Name:            "exclusive",
-		Description:     "fills upper level only, invalidates on hit, inserts all victims",
-		SampledEligible: true,
-		Rank:            2,
-		New:             func(PolicyParams) Controller { return NewExclusive() },
+		Name:        "exclusive",
+		Description: "fills upper level only, invalidates on hit, inserts all victims",
+		Rank:        2,
+		New:         func(PolicyParams) Controller { return NewExclusive() },
 	})
 	// Inclusive back-invalidates upper-level copies on LLC eviction: the
 	// simulator wires Ctx.BackInvalidate for it (sim.build).
 	RegisterPolicy(PolicyInfo{
-		Name:            "inclusive",
-		Description:     "non-inclusive flow plus back-invalidation of upper-level copies",
-		SampledEligible: true,
-		Rank:            3,
-		New:             func(PolicyParams) Controller { return NewInclusive() },
+		Name:        "inclusive",
+		Description: "non-inclusive flow plus back-invalidation of upper-level copies",
+		Rank:        3,
+		New:         func(PolicyParams) Controller { return NewInclusive() },
 	})
 }

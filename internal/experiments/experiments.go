@@ -49,32 +49,17 @@ type Options struct {
 	// Nil — the default — is fully off; observation-only like Trace, so
 	// not part of memo keys.
 	Journal *journal.Journal
-	// SampleInterval > 0 switches eligible runs to sampled interval
-	// simulation (internal/sample) with this window length in accesses
-	// per core. Runs that sampling cannot represent — coherent, MOESI-
-	// tracked, profiled, or warmup-bounded configurations — silently stay
-	// exact, so one flag can accelerate a whole artifact sweep. Unlike
-	// Jobs this changes results (they become estimates), so the
-	// sampling knobs ARE part of memo keys: sampled and exact runs never
-	// share cache entries.
-	SampleInterval uint64
-	// SampleClusters is the detailed-interval budget per sampled run
-	// (0 = ~sqrt(intervals) automatically).
-	SampleClusters int
-	// SampleWarmup is the functional re-warm depth before each
-	// representative interval.
-	SampleWarmup int
 	// Checkpoints optionally attaches a durable checkpoint store: exact
 	// runs snapshot their machine state every CheckpointEvery accesses
 	// and resume from the latest valid snapshot when the same cell is
-	// re-run after a crash, and sampling profiles persist across
-	// processes. Results are byte-identical with or without a store, so
-	// like Jobs neither field is part of memo keys; checkpoint
-	// durability failures degrade to cold starts, never run failures.
+	// re-run after a crash. Results are byte-identical with or without
+	// a store, so like Jobs neither field is part of memo keys;
+	// checkpoint durability failures degrade to cold starts, never run
+	// failures.
 	Checkpoints *checkpoint.Store
 	// CheckpointEvery is the snapshot spacing in accesses (summed over
 	// cores) for checkpointed runs; 0 disables run snapshots even with a
-	// store attached (profiles still persist).
+	// store attached.
 	CheckpointEvery uint64
 }
 
@@ -172,9 +157,6 @@ type Policy struct {
 	ID string
 	// New builds one controller per run.
 	New sim.Controller
-	// registryName is the canonical registry name, empty for an ablation
-	// stage; sampleEligible reads the registry's capability flags by it.
-	registryName string
 }
 
 // registered returns the factory for a registry policy.
@@ -192,7 +174,6 @@ func registered(name string, params core.PolicyParams) Policy {
 			}
 			return c
 		},
-		registryName: info.Name,
 	}
 }
 

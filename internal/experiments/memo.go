@@ -6,14 +6,12 @@ import (
 	"strings"
 
 	"repro/internal/checkpoint"
-	"repro/internal/core"
 	"repro/internal/fault"
 	memocache "repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/obs/journal"
 	otrace "repro/internal/obs/trace"
 	"repro/internal/pool"
-	"repro/internal/sample"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -85,11 +83,6 @@ func runE(cfg sim.Config, label string, pol Policy, mix workload.Mix, opt Option
 	if opt.Checkpoints != nil && opt.CheckpointEvery > 0 {
 		cfg.CheckpointEvery = opt.CheckpointEvery
 	}
-	if sampleEligible(cfg, pol.registryName, opt) {
-		cfg.SampleInterval = opt.SampleInterval
-		cfg.SampleClusters = opt.SampleClusters
-		cfg.SampleWarmup = opt.SampleWarmup
-	}
 	key := runKey(cfg, pol.ID, mix, false, opt)
 	cell := key.Mix + "|" + label
 	ctx, sp := cellSpan(opt, cell)
@@ -101,14 +94,6 @@ func runE(cfg sim.Config, label string, pol Policy, mix workload.Mix, opt Option
 		}()
 		if err := fault.Inject(fault.PointExpRun, cell); err != nil {
 			return sim.Result{}, err
-		}
-		if cfg.SampleInterval > 0 {
-			prof, err := profileFor(cfg, mix, opt)
-			if err != nil {
-				return sim.Result{}, err
-			}
-			sr, err := sample.Run(cfg, pol.New(), prof)
-			return sr.Sim, err
 		}
 		if opt.Checkpoints != nil && cfg.CheckpointEvery > 0 {
 			if len(mix.Members) != cfg.Cores {
@@ -146,79 +131,6 @@ func cellObserved(opt Options, cell string, compute func() (sim.Result, error)) 
 		}
 		return res, err
 	}
-}
-
-// sampleEligible reports whether sampled mode applies to this run: the
-// sweep asked for it, the policy's registry entry allows it (predictor
-// policies whose state cannot survive interval jumps are exact-only),
-// and the configuration has none of the features sampling cannot
-// represent (cross-interval coherent state, the redundancy profiler, or
-// explicit warmup/length bounds). Ineligible runs silently stay exact
-// so artifact code never has to special-case. registryName is a Policy's
-// canonical registry name; an ablation stage has none and gets no
-// policy-level restriction.
-func sampleEligible(cfg sim.Config, registryName string, opt Options) bool {
-	if info, ok := core.LookupPolicy(registryName); ok && !info.SampledEligible {
-		return false
-	}
-	return opt.SampleInterval > 0 &&
-		!cfg.Coherent && !cfg.TrackMOESI && !cfg.Profile &&
-		cfg.WarmupAccessesPerCore == 0 && cfg.MaxAccessesPerCore == 0
-}
-
-// profileKey identifies one functional profile. Policy is absent —
-// profiles are policy-independent — and the cluster/warmup knobs are
-// normalised away: they shape the replay, not the profile.
-type profileKey struct {
-	Cfg      sim.Config
-	Mix      string
-	Accesses uint64
-	Seed     uint64
-}
-
-// profiles caches one functional profile per (config, mix, scale); a
-// Fig. 14-style sweep then pays one profiling pass for its six-plus
-// policies per mix.
-var profiles = memocache.New[profileKey, *sample.Profile](0)
-
-func profileFor(cfg sim.Config, mix workload.Mix, opt Options) (*sample.Profile, error) {
-	key := profileKey{
-		Cfg:      cfg.ProfileIdentity(),
-		Mix:      mix.Name + "[" + strings.Join(mix.Members, ",") + "]",
-		Accesses: opt.Accesses,
-		Seed:     opt.Seed,
-	}
-	return profiles.DoErr(context.Background(), key, func() (*sample.Profile, error) {
-		build := func() (*sample.Profile, error) {
-			srcs, err := sim.MixSources(mix, opt.Accesses, opt.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return sample.BuildProfile(cfg, srcs, cfg.SampleInterval)
-		}
-		if opt.Checkpoints == nil {
-			return build()
-		}
-		// With a store attached, a digest-matching persisted profile
-		// replaces the functional pass (replay positions are rebuilt from
-		// fresh sources); a freshly built one is persisted for the next
-		// process. Store failures degrade to build().
-		ck := checkpoint.ProfileKey(cfg,
-			checkpoint.MixWorkload(mix.Name, mix.Members, cfg.Cores, opt.Accesses, opt.Seed))
-		codec := checkpoint.ProfileCodec[*sample.Profile]{
-			Encode: func(p *sample.Profile) []byte { return p.Encode() },
-			Decode: func(b []byte) (*sample.Profile, error) {
-				srcs, err := sim.MixSources(mix, opt.Accesses, opt.Seed)
-				if err != nil {
-					return nil, err
-				}
-				return sample.DecodeProfile(b, srcs)
-			},
-		}
-		prof, _, err := checkpoint.LoadOrBuildProfile(opt.Checkpoints, ck,
-			func(p *sample.Profile) uint64 { return uint64(len(p.Intervals)) }, codec, build)
-		return prof, err
-	})
 }
 
 // cellSpan opens a per-cell root span on opt.Trace (nil-safe, zero cost
@@ -280,9 +192,7 @@ func runThreaded(cfg sim.Config, label string, pol Policy, b workload.Benchmark,
 // series names). A nil registry is a no-op.
 func RegisterMetrics(r *obs.Registry, ns string) {
 	memo.Register(r, ns+"_memo")
-	profiles.Register(r, ns+"_profile_memo")
 	pool.Register(r, ns+"_pool")
-	sample.RegisterMetrics(r, ns)
 }
 
 // ResetMemo clears the run cache (tests and benchmarks use it to bound
@@ -290,7 +200,6 @@ func RegisterMetrics(r *obs.Registry, ns string) {
 // under concurrency; the Stats counters survive a reset.
 func ResetMemo() {
 	memo.Reset()
-	profiles.Reset()
 }
 
 // MemoStats counts run-cache activity since process start: Computed is

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -44,21 +43,6 @@ type RunRequest struct {
 	Accesses uint64 `json:"accesses,omitempty"`
 	// Seed makes the synthetic workloads deterministic (default 1).
 	Seed uint64 `json:"seed,omitempty"`
-	// Mode selects the simulation mode: "" or "exact" (default,
-	// bit-reproducible) or "sampled" (interval-sampled estimation for mix
-	// and bench workloads; threaded and trace runs must stay exact).
-	// Sampled results carry sampled:true plus a Sample error report, and
-	// cache separately from exact results for the same workload.
-	Mode string `json:"mode,omitempty"`
-	// SampleInterval is the sampled-mode interval length in accesses per
-	// core (0 = accesses/50, floored at 1000). Requires Mode "sampled".
-	SampleInterval uint64 `json:"sample_interval,omitempty"`
-	// SampleClusters is the number of detailed representative intervals
-	// (0 = ~sqrt of the interval count). Requires Mode "sampled".
-	SampleClusters int `json:"sample_clusters,omitempty"`
-	// SampleWarmup is the functional re-warm window count before each
-	// representative (0 = 1). Requires Mode "sampled".
-	SampleWarmup int `json:"sample_warmup,omitempty"`
 }
 
 // RunResult is one simulation's outcome. Error is set — and the metric
@@ -66,24 +50,19 @@ type RunRequest struct {
 // so successful cells serialize byte-identically whether or not other
 // cells of their sweep failed.
 type RunResult struct {
-	Policy       string    `json:"policy"`
-	Workload     string    `json:"workload"`
-	Accesses     uint64    `json:"accesses"`
-	Seed         uint64    `json:"seed"`
-	MPKI         float64   `json:"mpki"`
-	Throughput   float64   `json:"throughput"`
-	Cycles       uint64    `json:"cycles"`
-	EPIStaticNJ  float64   `json:"epi_static_nj"`
-	EPIDynamicNJ float64   `json:"epi_dynamic_nj"`
-	EPITotalNJ   float64   `json:"epi_total_nj"`
-	TotalNJ      float64   `json:"total_nj"`
-	IPCs         []float64 `json:"ipcs"`
-	// Sampled marks an interval-sampled (estimated) result; Sample then
-	// carries the run's confidence report. Both are absent on exact runs,
-	// so exact responses stay byte-identical to pre-sampling versions.
-	Sampled bool                `json:"sampled,omitempty"`
-	Sample  *lap.SampleEstimate `json:"sample,omitempty"`
-	Error   *CellError          `json:"error,omitempty"`
+	Policy       string     `json:"policy"`
+	Workload     string     `json:"workload"`
+	Accesses     uint64     `json:"accesses"`
+	Seed         uint64     `json:"seed"`
+	MPKI         float64    `json:"mpki"`
+	Throughput   float64    `json:"throughput"`
+	Cycles       uint64     `json:"cycles"`
+	EPIStaticNJ  float64    `json:"epi_static_nj"`
+	EPIDynamicNJ float64    `json:"epi_dynamic_nj"`
+	EPITotalNJ   float64    `json:"epi_total_nj"`
+	TotalNJ      float64    `json:"total_nj"`
+	IPCs         []float64  `json:"ipcs"`
+	Error        *CellError `json:"error,omitempty"`
 }
 
 // CellError is one failed cell's error on the wire. Kind is the failure
@@ -110,13 +89,6 @@ type SweepRequest struct {
 	// Jobs caps the sweep's fan-out; clamped to the server's worker cap.
 	// 0 uses the server cap, 1 is fully serial.
 	Jobs int `json:"jobs,omitempty"`
-	// Mode and the Sample* knobs apply to every cell (see RunRequest).
-	// A sampled sweep pays one functional profiling pass per mix, shared
-	// across its policies.
-	Mode           string `json:"mode,omitempty"`
-	SampleInterval uint64 `json:"sample_interval,omitempty"`
-	SampleClusters int    `json:"sample_clusters,omitempty"`
-	SampleWarmup   int    `json:"sample_warmup,omitempty"`
 }
 
 // SweepResponse carries the grid's results, mix-major in request order.
@@ -282,35 +254,6 @@ type runKey struct {
 	Seed     uint64
 }
 
-// profileKey identifies one functional profile in the server's profile
-// cache. Policy is absent — profiles are policy-independent — and Cfg is
-// the profile identity (sim.Config.ProfileIdentity), so a sampled
-// sweep's six-plus policies per mix share one profiling pass.
-type profileKey struct {
-	Cfg      lap.Config
-	Workload string
-	Accesses uint64
-	Seed     uint64
-}
-
-// profileFor builds (or recalls) the functional profile for a sampled
-// spec. Coalescing matters here the same way it does for runs:
-// concurrent policies over one workload block on a per-key latch while
-// the first builds the profile.
-func (s *Server) profileFor(sp *runSpec) (*lap.SampleProfile, error) {
-	key := profileKey{Cfg: sp.cfg.ProfileIdentity(), Workload: sp.key.Workload, Accesses: sp.accesses, Seed: sp.seed}
-	return s.profiles.DoErr(context.Background(), key, func() (*lap.SampleProfile, error) {
-		if s.cfg.Checkpoints != nil {
-			// A digest-matching persisted profile replaces the functional
-			// profiling pass across restarts; store failures degrade to a
-			// fresh build inside LoadOrBuildSampleProfile.
-			prof, _, err := lap.LoadOrBuildSampleProfile(sp.cfg, sp.mix, sp.accesses, sp.seed, s.cfg.Checkpoints)
-			return prof, err
-		}
-		return lap.BuildSampleProfile(sp.cfg, sp.mix, sp.accesses, sp.seed)
-	})
-}
-
 // runKind discriminates the workload shapes a runSpec can execute.
 type runKind int
 
@@ -333,11 +276,6 @@ type runSpec struct {
 	traceAcc []lap.Access
 	accesses uint64
 	seed     uint64
-	// profile supplies the functional profile for sampled runs (nil on
-	// exact runs). Set at resolve time to a closure over the server's
-	// profile cache, so every policy replaying the same workload shares
-	// one profiling pass.
-	profile func() (*lap.SampleProfile, error)
 	// ckpt is the server's checkpoint store when this run should snapshot
 	// and warm-start (exact mix runs only); nil runs cold. cfg's
 	// CheckpointEvery carries the spacing.
@@ -377,18 +315,6 @@ func (s *Server) resolveRun(req RunRequest) (*runSpec, error) {
 			return nil, badRequestError{msg: err.Error(), field: fe.Field}
 		}
 		return nil, badReqf("%v", err)
-	}
-
-	sampled := false
-	switch req.Mode {
-	case "", "exact":
-		if req.SampleInterval != 0 || req.SampleClusters != 0 || req.SampleWarmup != 0 {
-			return nil, badReqf("sample_interval, sample_clusters, and sample_warmup require mode %q", "sampled")
-		}
-	case "sampled":
-		sampled = true
-	default:
-		return nil, badReqf("unknown mode %q (want %q or %q)", req.Mode, "exact", "sampled")
 	}
 
 	// Policy names resolve through the registry: the stored canonical
@@ -469,56 +395,20 @@ func (s *Server) resolveRun(req RunRequest) (*runSpec, error) {
 		workload = "mix:" + mix.Name + "[" + strings.Join(mix.Members, ",") + "]"
 	}
 
-	if sampled {
-		if sp.kind != kindMix {
-			return nil, badReqf("mode %q supports mix and bench workloads only (threaded and trace runs must be exact)", "sampled")
-		}
-		sp.cfg.SampleInterval = req.SampleInterval
-		if sp.cfg.SampleInterval == 0 {
-			sp.cfg.SampleInterval = sp.accesses / 50
-			if sp.cfg.SampleInterval < 1000 {
-				sp.cfg.SampleInterval = 1000
-			}
-		}
-		sp.cfg.SampleClusters = req.SampleClusters
-		sp.cfg.SampleWarmup = req.SampleWarmup
-		if sp.cfg.SampleWarmup == 0 {
-			sp.cfg.SampleWarmup = 1
-		}
-		// Re-validate: the sampling knobs have their own ranges, and an
-		// explicit out-of-range request must 400 with the field named
-		// rather than be silently clamped.
-		if err := sp.cfg.Validate(); err != nil {
-			var fe *lap.FieldError
-			if errors.As(err, &fe) {
-				return nil, badRequestError{msg: err.Error(), field: fe.Field}
-			}
-			return nil, badReqf("%v", err)
-		}
-		// With SampleInterval now set, the registry's sampled-eligible
-		// gate applies: exact-only policies 400 here instead of running
-		// through a mode that would silently mis-predict.
-		if _, err := lap.ValidatePolicy(sp.cfg, policy); err != nil {
-			return nil, policyBadRequest(err)
-		}
-		sp.profile = func() (*lap.SampleProfile, error) { return s.profileFor(sp) }
-	}
-
 	// Exact mix runs pick up the checkpoint store: snapshots every
 	// CheckpointEvery accesses, and a re-issued run matching a stored
 	// prefix warm-starts instead of simulating from access zero. Results
 	// are byte-identical either way.
-	if s.cfg.Checkpoints != nil && sp.kind == kindMix && !sampled {
+	if s.cfg.Checkpoints != nil && sp.kind == kindMix {
 		sp.ckpt = s.cfg.Checkpoints
 		if sp.cfg.CheckpointEvery == 0 {
 			sp.cfg.CheckpointEvery = s.cfg.CheckpointEvery
 		}
 	}
 
-	// The Sample* fields ride inside Cfg, so sampled results key — and
-	// cache — separately from exact results of the same workload. Cfg is
-	// the run identity, so requests differing only in a host-execution
-	// field (CheckpointEvery) coalesce onto one cache entry.
+	// Cfg is the run identity, so requests differing only in a
+	// host-execution field (CheckpointEvery) coalesce onto one cache
+	// entry.
 	sp.key = runKey{
 		Cfg:      sp.cfg.RunIdentity(),
 		Policy:   string(policy),
@@ -563,8 +453,8 @@ func (sp *runSpec) cellKey() string {
 // point fires first, so chaos tests can target one cell by key.
 //
 // tel optionally observes the run per interval (the /v1/events bridge);
-// nil is fully off. Checkpointed and sampled executions run through
-// entry points without an observation hook and ignore it. Telemetry
+// nil is fully off. Checkpointed executions run through an entry point
+// without an observation hook and ignore it. Telemetry
 // never steers the simulation, so results are byte-identical either
 // way.
 func (sp *runSpec) execute(tel *lap.Telemetry) (res lap.Result, err error) {
@@ -586,13 +476,6 @@ func (sp *runSpec) execute(tel *lap.Telemetry) (res lap.Result, err error) {
 		}
 		return lap.RunTracesObserved(sp.cfg, sp.policy, srcs, tel)
 	default:
-		if sp.profile != nil {
-			prof, err := sp.profile()
-			if err != nil {
-				return lap.Result{}, err
-			}
-			return lap.RunSampledProfile(sp.cfg, sp.policy, prof)
-		}
 		if sp.ckpt != nil && sp.cfg.CheckpointEvery > 0 {
 			return lap.RunResumable(sp.cfg, sp.policy, sp.mix, sp.accesses, sp.seed, sp.ckpt)
 		}
@@ -602,7 +485,7 @@ func (sp *runSpec) execute(tel *lap.Telemetry) (res lap.Result, err error) {
 
 // result shapes a successful run for the wire.
 func (sp *runSpec) result(r lap.Result) RunResult {
-	rr := RunResult{
+	return RunResult{
 		Policy:       string(sp.policy),
 		Workload:     sp.key.Workload,
 		Accesses:     sp.accesses,
@@ -616,11 +499,6 @@ func (sp *runSpec) result(r lap.Result) RunResult {
 		TotalNJ:      r.TotalNJ,
 		IPCs:         r.IPCs,
 	}
-	if r.Sample != nil {
-		rr.Sampled = true
-		rr.Sample = r.Sample
-	}
-	return rr
 }
 
 // errorResult shapes a failed sweep cell for the wire: identity fields

@@ -7,7 +7,6 @@ import (
 	lap "repro"
 	"repro/internal/obs"
 	"repro/internal/pool"
-	"repro/internal/sample"
 )
 
 // serverMetrics is lapserved's first-class observability layer: every
@@ -115,13 +114,9 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 			"Requests refused with 503 while the breaker was open or probing."),
 	}
 
-	// Memo and pool counters ride along under the lapserved namespace,
-	// as do the sampled-simulation series (profile cache activity plus
-	// the interval/work-reduction telemetry from internal/sample).
+	// Memo and pool counters ride along under the lapserved namespace.
 	s.memo.Register(reg, "lapserved_memo")
-	s.profiles.Register(reg, "lapserved_profile_memo")
 	pool.Register(reg, "lapserved_pool")
-	sample.RegisterMetrics(reg, "lapserved")
 	// Checkpoint durability counters (lap_checkpoint_*) join the scrape
 	// when a store is attached; the store owns the series, the server
 	// just exposes them.

@@ -9,40 +9,6 @@ import (
 	lap "repro"
 )
 
-// TestSampledPolicyRefusal pins the HTTP side of the sampled-eligibility
-// gate: exact-only policies (their predictor state does not survive
-// interval jumps) get a typed 400 on the Policy field from sampled-mode
-// /v1/run, and the identical request runs fine in exact mode.
-func TestSampledPolicyRefusal(t *testing.T) {
-	_, ts := testServer(t, Config{})
-	for _, p := range []lap.Policy{lap.PolicyReuseDetector, lap.PolicyRDCopyback} {
-		t.Run(string(p), func(t *testing.T) {
-			status, body := post(t, ts.URL+"/v1/run",
-				RunRequest{Mix: "WL1", Policy: string(p), Mode: "sampled", Accesses: smallAccesses})
-			if status != http.StatusBadRequest {
-				t.Fatalf("sampled %s: got %d (%s), want 400", p, status, body)
-			}
-			var e errorResponse
-			if err := json.Unmarshal(body, &e); err != nil || e.Field != "Policy" {
-				t.Fatalf("400 body does not name the Policy field: %s", body)
-			}
-			if !strings.Contains(e.Error, "sampled") {
-				t.Fatalf("400 error does not explain the sampled refusal: %s", e.Error)
-			}
-
-			status, body = post(t, ts.URL+"/v1/run",
-				RunRequest{Mix: "WL1", Policy: string(p), Accesses: smallAccesses})
-			if status != http.StatusOK {
-				t.Fatalf("exact %s: got %d (%s), want 200", p, status, body)
-			}
-			var res RunResult
-			if err := json.Unmarshal(body, &res); err != nil || res.Policy != string(p) {
-				t.Fatalf("exact %s result: %s", p, body)
-			}
-		})
-	}
-}
-
 // TestEveryRegisteredPolicyRunsOverHTTP is the server leg of the
 // cross-layer conformance suite: every name in the registry validates
 // and completes on /v1/run (hybrid-only policies with a hybrid-LLC

@@ -120,9 +120,9 @@ type Config struct {
 	// Checkpoints optionally attaches a durable checkpoint store: exact
 	// mix runs snapshot machine state every CheckpointEvery accesses, a
 	// /v1/run matching a checkpointed prefix warm-starts from the latest
-	// valid snapshot, and sampling profiles persist across restarts. The
-	// store's counters join /metrics (lap_checkpoint_*) and /v1/stats.
-	// Durability failures degrade to cold starts, never run failures.
+	// valid snapshot. The store's counters join /metrics
+	// (lap_checkpoint_*) and /v1/stats. Durability failures degrade to
+	// cold starts, never run failures.
 	Checkpoints *lap.CheckpointStore
 	// CheckpointEvery is the snapshot spacing in accesses, summed over
 	// cores (0 = 1,000,000 when a store is attached). It is normalized
@@ -163,12 +163,6 @@ const (
 	defaultBreakerCooldown  = 5 * time.Second
 	defaultTraceRequests    = 64
 	defaultCheckpointEvery  = 1_000_000
-	// Profiles carry cache-hierarchy snapshots (up to ~28 MB each at
-	// the paper's default geometry — see sample.Profile), so the
-	// profile cache is kept much smaller than the result memo: 8 entries
-	// bound it near a quarter of a gigabyte while still covering a
-	// sweep's mix set.
-	defaultProfileEntries = 8
 )
 
 // Server is the lapserved HTTP core. Construct with New; serve
@@ -176,7 +170,6 @@ const (
 type Server struct {
 	cfg      Config
 	memo     *memo.Cache[runKey, lap.Result]
-	profiles *memo.Cache[profileKey, *lap.SampleProfile]
 	store    *traceStore
 	traces   *traceLog // per-request trace exports; nil when disabled
 	sem      chan struct{}
@@ -248,16 +241,15 @@ func New(cfg Config) *Server {
 		store, _ = newTraceStore("")
 	}
 	s := &Server{
-		cfg:      cfg,
-		memo:     memo.New[runKey, lap.Result](cfg.MemoEntries),
-		profiles: memo.New[profileKey, *lap.SampleProfile](defaultProfileEntries),
-		store:    store,
-		sem:      make(chan struct{}, cfg.Jobs),
-		breaker:  newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
-		slo:      health.NewSLO(cfg.SLO),
-		running:  newRunRegistry(),
-		started:  time.Now(),
-		lat:      latRing{buf: make([]float64, 0, latencyWindow)},
+		cfg:     cfg,
+		memo:    memo.New[runKey, lap.Result](cfg.MemoEntries),
+		store:   store,
+		sem:     make(chan struct{}, cfg.Jobs),
+		breaker: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
+		slo:     health.NewSLO(cfg.SLO),
+		running: newRunRegistry(),
+		started: time.Now(),
+		lat:     latRing{buf: make([]float64, 0, latencyWindow)},
 	}
 	if cfg.JournalCapacity >= 0 {
 		s.journal = journal.New(cfg.JournalCapacity, cfg.Logger)
@@ -762,20 +754,15 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The default policy set is the registry's configuration-aware "all"
-	// expansion: hybrid-only policies drop out on uniform LLCs and
-	// exact-only policies drop out of sampled sweeps, each skip reported
-	// in the response rather than silently running (or 400ing the grid).
+	// expansion: hybrid-only policies drop out on uniform LLCs, each skip
+	// reported in the response rather than silently running (or 400ing
+	// the grid).
 	var skipped []string
 	if len(req.Policies) == 0 {
 		cfg, err := lap.ParseConfig(req.Config)
 		if err != nil {
 			writeError(w, policyBadRequest(err))
 			return
-		}
-		if req.Mode == "sampled" && cfg.SampleInterval == 0 {
-			// Any non-zero interval engages the sampled-eligibility
-			// gate; resolveRun derives the real interval per cell.
-			cfg.SampleInterval = 1000
 		}
 		policies, notices, err := lap.ResolvePolicies(cfg, "all")
 		if err != nil {
@@ -797,15 +784,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	for _, mix := range req.Mixes {
 		for _, pol := range req.Policies {
 			sp, err := s.resolveRun(RunRequest{
-				Config:         req.Config,
-				Policy:         pol,
-				Mix:            mix,
-				Accesses:       req.Accesses,
-				Seed:           req.Seed,
-				Mode:           req.Mode,
-				SampleInterval: req.SampleInterval,
-				SampleClusters: req.SampleClusters,
-				SampleWarmup:   req.SampleWarmup,
+				Config:   req.Config,
+				Policy:   pol,
+				Mix:      mix,
+				Accesses: req.Accesses,
+				Seed:     req.Seed,
 			})
 			if err != nil {
 				writeError(w, err)
@@ -1011,13 +994,13 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 // runTelemetry builds the per-interval event bridge for one execution:
 // nil — telemetry fully off, the simulator pays one nil check per access
 // — unless a live /v1/events subscriber exists (one atomic load decides,
-// see journal.Streaming). Checkpointed and sampled runs execute through
-// entry points without an observation hook and stream lifecycle events
-// only. Telemetry observes and never steers, so results stay
-// byte-identical with or without subscribers — the obs-smoke gate
-// byte-compares exactly this.
+// see journal.Streaming). Checkpointed runs execute through an entry
+// point without an observation hook and stream lifecycle events only.
+// Telemetry observes and never steers, so results stay byte-identical
+// with or without subscribers — the obs-smoke gate byte-compares
+// exactly this.
 func (s *Server) runTelemetry(sp *runSpec, traceID string) *sim.Telemetry {
-	if !s.journal.Streaming() || sp.ckpt != nil || sp.profile != nil {
+	if !s.journal.Streaming() || sp.ckpt != nil {
 		return nil
 	}
 	// ~16 windows per run, summed over cores, floored so tiny runs emit

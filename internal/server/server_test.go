@@ -197,6 +197,24 @@ func TestRunValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown field: got %d, want 400", resp.StatusCode)
 	}
+
+	// Requests written for the deleted sampled mode are refused on both
+	// endpoints, never run exact in silence.
+	for _, ep := range []struct{ path, body string }{
+		{"/v1/run", `{"mix": "WL1", "accesses": 20000, "mode": "sampled"}`},
+		{"/v1/run", `{"mix": "WL1", "accesses": 20000, "sample_interval": 1000}`},
+		{"/v1/sweep", `{"mixes": ["WL1"], "policies": ["LAP"], "accesses": 20000, "mode": "sampled"}`},
+		{"/v1/sweep", `{"mixes": ["WL1"], "policies": ["LAP"], "accesses": 20000, "sample_interval": 1000}`},
+	} {
+		resp, err := http.Post(ts.URL+ep.path, "application/json", strings.NewReader(ep.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s %s: got %d, want 400", ep.path, ep.body, resp.StatusCode)
+		}
+	}
 }
 
 // TestRunCoalescing is an acceptance gate: two concurrent identical

@@ -63,28 +63,6 @@ func TestAccessAllocsZero(t *testing.T) {
 	}
 }
 
-// TestAccessAllocsZeroFunctional pins the functional-warmup access path
-// (Ctx.Functional set, stepFunctional) at zero allocations too: sampled
-// runs spend most of their accesses there, so a per-access allocation
-// would erase the sampling speedup.
-func TestAccessAllocsZeroFunctional(t *testing.T) {
-	for name, mk := range allocControllers() {
-		t.Run(name, func(t *testing.T) {
-			m, c, accs := allocMachine(mk(), loopy(), name == "Lhybrid")
-			m.ctx.Functional = true
-			defer func() { m.ctx.Functional = false }()
-			i := 0
-			got := testing.AllocsPerRun(2000, func() {
-				m.stepFunctional(c, accs[i%len(accs)])
-				i++
-			})
-			if got != 0 {
-				t.Fatalf("%s functional access path allocates %.2f times per access, want 0", name, got)
-			}
-		})
-	}
-}
-
 // BenchmarkAccessAllocs reports ns/op and allocs/op for a single
 // steady-state access on the LAP controller. CI requires its allocs/op
 // to be exactly 0.
@@ -94,18 +72,6 @@ func BenchmarkAccessAllocs(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.step(c, accs[i%len(accs)])
-	}
-}
-
-// BenchmarkAccessAllocsFunctional is the functional-mode counterpart;
-// the CI alloc gate requires its allocs/op to be exactly 0 as well.
-func BenchmarkAccessAllocsFunctional(b *testing.B) {
-	m, c, accs := allocMachine(core.NewLAP(), loopy(), false)
-	m.ctx.Functional = true
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.stepFunctional(c, accs[i%len(accs)])
 	}
 }
 

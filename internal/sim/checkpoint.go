@@ -16,7 +16,8 @@ package sim
 // deterministic sources), and the state behind ineligible
 // configurations (coherence buses, MOESI directories, per-block
 // profilers, DRAM row buffers, telemetry windows) — those
-// configurations silently run cold instead.
+// configurations run cold instead; Config.CheckpointBlocker names the
+// field responsible, so front ends can refuse the combination up front.
 
 import (
 	"fmt"
@@ -51,8 +52,7 @@ type ckState struct {
 // checkpointableCfg reports whether this machine's full mutable state
 // is covered by the codec. Ineligible configurations run cold.
 func (m *machine) checkpointableCfg() bool {
-	return !m.cfg.Coherent && !m.cfg.TrackMOESI && !m.cfg.Profile && !m.cfg.UseDRAM &&
-		m.cfg.SampleInterval == 0 && m.tel == nil && core.CanCheckpoint(m.ctrl)
+	return m.cfg.CheckpointBlocker() == nil && m.tel == nil && core.CanCheckpoint(m.ctrl)
 }
 
 // RunCheckpointed is Run with durability: when resume is non-empty the

@@ -115,24 +115,40 @@ func TestCheckpointResumeRejectsMismatch(t *testing.T) {
 	}
 }
 
-// TestCheckpointIneligibleConfigsRunCold verifies the silent-cold-start
-// contract: configurations whose state the codec does not cover take no
-// snapshots but still produce correct results.
+// TestCheckpointIneligibleConfigsRunCold pins the configuration half of
+// checkpoint eligibility: CheckpointBlocker names each field whose
+// simulator state the codec does not serialize, and such configurations
+// take no snapshots but still produce correct results.
 func TestCheckpointIneligibleConfigsRunCold(t *testing.T) {
+	if fe := ckTestConfig().CheckpointBlocker(); fe != nil {
+		t.Fatalf("eligible config blocked by %v", fe)
+	}
 	mix := workload.TableIII()[0]
-	cfg := ckTestConfig()
-	cfg.Profile = true
-	calls := 0
-	srcs, _ := MixSources(mix, 15_000, 1)
-	res, err := RunCheckpointed(cfg, core.NewLAP(), srcs, nil, func(_, _ uint64, _ []byte) { calls++ })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 0 {
-		t.Fatalf("profiled run took %d checkpoints; profiler state is not serialized", calls)
-	}
-	if res.Cycles == 0 {
-		t.Fatal("ineligible run produced no result")
+	for field, set := range map[string]func(*Config){
+		"Coherent":   func(c *Config) { c.Coherent = true },
+		"TrackMOESI": func(c *Config) { c.TrackMOESI = true },
+		"Profile":    func(c *Config) { c.Profile = true },
+		"UseDRAM":    func(c *Config) { c.UseDRAM = true },
+	} {
+		t.Run(field, func(t *testing.T) {
+			cfg := ckTestConfig()
+			set(&cfg)
+			if fe := cfg.CheckpointBlocker(); fe == nil || fe.Field != field {
+				t.Fatalf("CheckpointBlocker() = %v, want a *FieldError on %s", fe, field)
+			}
+			calls := 0
+			srcs, _ := MixSources(mix, 15_000, 1)
+			res, err := RunCheckpointed(cfg, core.NewLAP(), srcs, nil, func(_, _ uint64, _ []byte) { calls++ })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if calls != 0 {
+				t.Fatalf("%s run took %d checkpoints; its state is not serialized", field, calls)
+			}
+			if res.Cycles == 0 {
+				t.Fatal("ineligible run produced no result")
+			}
+		})
 	}
 }
 

@@ -112,56 +112,45 @@ type Config struct {
 	// state but are excluded from every reported metric.
 	WarmupAccessesPerCore uint64
 
-	// SampleInterval > 0 selects sampled interval simulation
-	// (internal/sample): the trace is split into windows of this many
-	// accesses per core, windows are clustered by behavior signature, and
-	// only one representative per cluster is simulated in detail — the
-	// rest are fast-forwarded in functional warmup mode and extrapolated
-	// by cluster weight. 0 (the default) is exact mode. Sampled runs
-	// require forkable trace sources (workload surrogates, in-memory
-	// traces) and are incompatible with Coherent, TrackMOESI, Profile,
-	// WarmupAccessesPerCore, and MaxAccessesPerCore (bound the sources
-	// instead); Validate reports which knob conflicts.
-	SampleInterval uint64
-	// SampleClusters is the number of k-means clusters (= detailed
-	// intervals simulated per run) in sampled mode. 0 picks
-	// ~sqrt(intervals) automatically.
-	SampleClusters int
-	// SampleWarmup is the number of preceding intervals re-run in
-	// functional mode before each representative interval, restoring
-	// recency/loop-block state after a fast-forward jump.
-	SampleWarmup int
-
 	// CheckpointEvery, when positive, snapshots the full machine state
 	// every CheckpointEvery executed accesses (summed across cores) so an
 	// attached checkpoint sink can persist them (RunCheckpointed). It is
 	// a host-execution knob with no effect on results — a checkpointed
 	// run is byte-identical to an uninterrupted one — so RunIdentity
-	// drops it. Checkpointing silently disables itself on configurations
-	// whose state is not serialized (Coherent, TrackMOESI, Profile,
-	// UseDRAM, sampled mode, telemetry).
+	// drops it. CheckpointBlocker names the field that makes a
+	// configuration uncheckpointable; such runs execute cold.
 	CheckpointEvery uint64
 }
 
 // RunIdentity returns c with every host-execution field zeroed: the
 // fields that change how a run executes but never its result. Two
 // configs with equal run identities produce identical results, so every
-// memo, checkpoint and profile key is built from it; no other package
-// names those fields.
+// memo and checkpoint key is built from it; no other package names
+// those fields.
 func (c Config) RunIdentity() Config {
 	c.CheckpointEvery = 0
 	return c
 }
 
-// ProfileIdentity is RunIdentity with the replay-shaping sampling knobs
-// (SampleClusters, SampleWarmup) also zeroed: they select and warm
-// representatives from a functional profile but do not change the
-// profile itself, so configs with equal profile identities share one.
-func (c Config) ProfileIdentity() Config {
-	c = c.RunIdentity()
-	c.SampleClusters = 0
-	c.SampleWarmup = 0
-	return c
+// CheckpointBlocker reports the first set Config field whose simulator
+// state the checkpoint codec does not serialize (the coherence bus, the
+// MOESI directory, the redundancy profiler, the DRAM row buffers), or
+// nil when a run of c can be checkpointed. It is the configuration half
+// of checkpoint eligibility; the controller must also implement
+// core.StateCodec, and observed (telemetry) runs are never
+// checkpointed.
+func (c Config) CheckpointBlocker() *FieldError {
+	switch {
+	case c.Coherent:
+		return fieldErrf("Coherent", "coherent runs cannot be checkpointed (the snooping bus state is not serialized)")
+	case c.TrackMOESI:
+		return fieldErrf("TrackMOESI", "MOESI-tracked runs cannot be checkpointed (the directory state is not serialized)")
+	case c.Profile:
+		return fieldErrf("Profile", "profiled runs cannot be checkpointed (the per-block profiler state is not serialized)")
+	case c.UseDRAM:
+		return fieldErrf("UseDRAM", "DRAM-model runs cannot be checkpointed (the row-buffer state is not serialized)")
+	}
+	return nil
 }
 
 // DefaultConfig returns the paper's Table II system with an STT-RAM LLC:

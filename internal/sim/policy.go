@@ -12,7 +12,7 @@ import (
 // accepts a policy name — the lap facade, cmd/lapsim's -policy flag,
 // lapexp's table factories, and lapserved's /v1/run and /v1/sweep
 // validators — resolves it through these helpers, so canonicalisation,
-// capability gating ("needs hybrid LLC", "sampled-eligible"), and the
+// capability gating ("needs hybrid LLC"), and the
 // unknown-name error text are identical everywhere.
 
 // PolicyParams derives the configuration-dependent factory knobs for
@@ -38,16 +38,13 @@ func (c Config) policyIneligible(info core.PolicyInfo) string {
 	if info.NeedsHybridLLC && c.L3SRAMWays == 0 {
 		return "needs a hybrid LLC: set L3SRAMWays > 0"
 	}
-	if c.SampleInterval > 0 && !info.SampledEligible {
-		return "not sampled-eligible: its predictor state does not survive interval jumps; use exact mode"
-	}
 	return ""
 }
 
 // ValidatePolicy resolves a policy name against the registry under this
 // configuration, returning the canonical name. Unknown names and
-// policies the configuration cannot run (hybrid-only on a uniform LLC,
-// sampled-ineligible when SampleInterval > 0) return a *FieldError on
+// policies the configuration cannot run (hybrid-only on a uniform LLC)
+// return a *FieldError on
 // "Policy" so every CLI error and HTTP 400 carries the same text.
 func (c Config) ValidatePolicy(name string) (string, error) {
 	info, ok := core.LookupPolicy(name)

@@ -43,43 +43,6 @@ type Result struct {
 	// BankOps is the per-bank access count of the LLC timing model
 	// (Config.L3Banks banks) — the bank utilization profile.
 	BankOps []uint64
-	// Sample is the sampled-simulation error estimate; nil for exact
-	// runs. Riding inside Result lets the estimate flow through every
-	// memo and cache layer without changing their value types.
-	Sample *SampleEstimate
-}
-
-// SampleEstimate is the sampled executor's report for one run: how much
-// of the trace was actually simulated and the propagated per-metric
-// confidence of the extrapolated totals. Produced by internal/sample;
-// defined here so it can travel inside Result.
-type SampleEstimate struct {
-	// Clusters is the number of k-means clusters over full intervals.
-	Clusters int `json:"clusters"`
-	// IntervalsProfiled is the total interval count of the trace.
-	IntervalsProfiled int `json:"intervals_profiled"`
-	// IntervalsDetailed is how many intervals ran the full timing model.
-	IntervalsDetailed int `json:"intervals_detailed"`
-	// IntervalsWarmup is how many intervals re-ran functionally to warm
-	// cache state before representatives.
-	IntervalsWarmup int `json:"intervals_warmup"`
-	// IntervalsSkipped is how many intervals were neither simulated nor
-	// warmed — pure extrapolation.
-	IntervalsSkipped int `json:"intervals_skipped"`
-	// WorkReduction is IntervalsProfiled / (IntervalsDetailed +
-	// IntervalsWarmup): the fraction of interval-work avoided, counting
-	// a functional warmup interval as expensive as a detailed one. The
-	// realized wall-clock speedup is higher (functional intervals are
-	// cheaper) and further amortized when one profile serves several
-	// policies; this figure is the conservative per-run bound.
-	WorkReduction float64 `json:"work_reduction"`
-	// MissRateRelCI is the relative 95% confidence half-width of the LLC
-	// miss rate, propagated from within-cluster signature dispersion.
-	MissRateRelCI float64 `json:"miss_rate_rel_ci"`
-	// EPIRelCI is the relative 95% confidence half-width of EPI,
-	// propagated from the LLC read- and write-traffic series (the two
-	// activity terms dominating dynamic LLC energy).
-	EPIRelCI float64 `json:"epi_rel_ci"`
 }
 
 // MPKI returns LLC misses per kilo-instruction.
@@ -328,16 +291,6 @@ func (m *machine) loop() {
 	}
 }
 
-// allDone reports whether every core has exhausted its stream or quota.
-func (m *machine) allDone() bool {
-	for _, c := range m.cores {
-		if !c.done {
-			return false
-		}
-	}
-	return true
-}
-
 // maybeEndWarmup opens the measurement window once every core has
 // finished its warmup quota, snapshotting the counters accumulated so
 // far so they can be subtracted from the final report.
@@ -378,33 +331,7 @@ func (m *machine) subtractBaselines() {
 	if !m.warmupDone {
 		return
 	}
-	met, base := m.ctx.Met, &m.baseMet
-	met.L3Accesses -= base.L3Accesses
-	met.L3Hits -= base.L3Hits
-	met.L3Misses -= base.L3Misses
-	met.WritesFill -= base.WritesFill
-	met.WritesDirty -= base.WritesDirty
-	met.WritesClean -= base.WritesClean
-	met.MigrationWrites -= base.MigrationWrites
-	met.TagOnlyUpdates -= base.TagOnlyUpdates
-	met.L3Evictions -= base.L3Evictions
-	met.L3DirtyEvictions -= base.L3DirtyEvictions
-	met.MemReads -= base.MemReads
-	met.MemWrites -= base.MemWrites
-	met.BackInvalidations -= base.BackInvalidations
-	met.L1Accesses -= base.L1Accesses
-	met.L1Misses -= base.L1Misses
-	met.L2Accesses -= base.L2Accesses
-	met.L2Misses -= base.L2Misses
-	met.L2Evictions -= base.L2Evictions
-	met.L2CleanEvictions -= base.L2CleanEvictions
-	met.L2DirtyEvictions -= base.L2DirtyEvictions
-	met.SnoopDirtyTransfers -= base.SnoopDirtyTransfers
-	met.Prefetches -= base.Prefetches
-	met.BypassedWrites -= base.BypassedWrites
-	met.BypassedFills -= base.BypassedFills
-	met.MSHRMerges -= base.MSHRMerges
-	met.MSHRStalls -= base.MSHRStalls
+	m.ctx.Met.Sub(&m.baseMet)
 	if m.bus != nil {
 		m.bus.Stats.Probes -= m.baseSnoop.Probes
 		m.bus.Stats.Broadcasts -= m.baseSnoop.Broadcasts
@@ -447,30 +374,6 @@ func (m *machine) step(c *coreState, acc trace.Access) {
 		}
 	}
 	c.cycles += penalty
-}
-
-// stepFunctional processes one access with the clock frozen: the full
-// hierarchy walk runs, so tags, recency, loop bits, and dueling state
-// stay warm, but no cycles accumulate and no stall penalty is computed.
-// Ctx.Functional (set by the Engine around functional windows)
-// suppresses energy metering and bank/memory timing below the
-// controller, while the cheap event counters keep counting — interval
-// signatures are built from them. Like step, this path must not
-// allocate (TestAccessAllocsZero pins both).
-//
-// The clock staying frozen is deliberate, not an approximation gap: a
-// cycle-ordered functional loop paced by nominal latencies was tried
-// and reverted. Without the bank-queueing feedback that couples cores
-// in detailed mode, pseudo-clocks drift apart per-core, and a later
-// detailed window then charges the lagging cores enormous phantom bank
-// waits against leader-stamped timestamps, inflating cycle and static-
-// energy extrapolations severalfold. Lockstep functional interleaving
-// reproduces the detailed run's cache trajectory to within ~0.01% of
-// LLC misses on the Table III mixes, so the extra machinery bought no
-// state fidelity either.
-func (m *machine) stepFunctional(c *coreState, acc trace.Access) {
-	c.instrs += uint64(acc.Instrs)
-	m.access(c, acc.Addr/uint64(m.cfg.BlockBytes), acc.Write)
 }
 
 // access performs the hierarchy walk and returns the access latency.

@@ -50,24 +50,6 @@ func (c Config) Validate() error {
 		return fieldErrf("PrefetchDegree", "prefetch degree must be non-negative (got %d)", c.PrefetchDegree)
 	case c.MSHREntries < 0:
 		return fieldErrf("MSHREntries", "MSHR entries must be non-negative (got %d)", c.MSHREntries)
-	case c.SampleInterval > 0 && c.SampleInterval < 1000:
-		return fieldErrf("SampleInterval", "sampling interval must be at least 1000 accesses per core (got %d)", c.SampleInterval)
-	case c.SampleClusters < 0 || c.SampleClusters > 256:
-		return fieldErrf("SampleClusters", "cluster count must be in 0..256 (got %d)", c.SampleClusters)
-	case c.SampleClusters > 0 && c.SampleInterval == 0:
-		return fieldErrf("SampleClusters", "requires sampled mode (set SampleInterval > 0)")
-	case c.SampleWarmup < 0 || c.SampleWarmup > 64:
-		return fieldErrf("SampleWarmup", "warmup intervals must be in 0..64 (got %d)", c.SampleWarmup)
-	case c.SampleWarmup > 0 && c.SampleInterval == 0:
-		return fieldErrf("SampleWarmup", "requires sampled mode (set SampleInterval > 0)")
-	case c.SampleInterval > 0 && (c.Coherent || c.TrackMOESI):
-		return fieldErrf("SampleInterval", "sampled mode cannot run coherent workloads (cross-core state does not survive interval jumps)")
-	case c.SampleInterval > 0 && c.Profile:
-		return fieldErrf("SampleInterval", "sampled mode cannot profile per-block redundancy (profiler state spans skipped intervals)")
-	case c.SampleInterval > 0 && c.WarmupAccessesPerCore > 0:
-		return fieldErrf("WarmupAccessesPerCore", "sampled mode replaces access-count warmup with functional cluster warmup (SampleWarmup)")
-	case c.SampleInterval > 0 && c.MaxAccessesPerCore > 0:
-		return fieldErrf("MaxAccessesPerCore", "sampled mode derives run length from the profiled trace; bound the sources instead")
 	case c.CheckpointEvery > 0 && c.CheckpointEvery < 1000:
 		return fieldErrf("CheckpointEvery", "checkpoint interval must be at least 1000 accesses (got %d)", c.CheckpointEvery)
 	}

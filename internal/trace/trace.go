@@ -34,34 +34,6 @@ type BatchSource interface {
 	NextBatch(dst []Access) int
 }
 
-// Forker is an optional Source extension for sources whose position can
-// be checkpointed: Fork returns an independent Source that continues
-// from the receiver's current position, after which the two streams
-// advance separately. Sampled simulation (internal/sample) captures
-// forks at interval boundaries during its profiling pass so the
-// executor can jump straight to any interval without regenerating the
-// accesses in between. Deterministic generators (workload surrogates,
-// in-memory traces) support it; streaming file readers do not.
-type Forker interface {
-	Source
-	Fork() Source
-}
-
-// ForkSource forks src when it supports Forker and reports ok=false
-// otherwise. A Fork that returns nil (a wrapper around a non-forkable
-// source) also reports ok=false.
-func ForkSource(src Source) (Source, bool) {
-	f, ok := src.(Forker)
-	if !ok {
-		return nil, false
-	}
-	s := f.Fork()
-	if s == nil {
-		return nil, false
-	}
-	return s, true
-}
-
 // FillBatch fills dst from src, using the batched path when src supports
 // it and falling back to repeated Next calls otherwise. Like
 // BatchSource.NextBatch, it returns a short count only on exhaustion.
@@ -109,9 +81,6 @@ func (s *SliceSource) NextBatch(dst []Access) int {
 	return n
 }
 
-// Fork implements Forker; the fork shares the immutable backing slice.
-func (s *SliceSource) Fork() Source { return &SliceSource{accs: s.accs, pos: s.pos} }
-
 // Limited wraps a source and truncates it after n accesses.
 type Limited struct {
 	src  Source
@@ -133,16 +102,6 @@ func (l *Limited) Next() (Access, bool) {
 	}
 	l.left--
 	return a, true
-}
-
-// Fork implements Forker when the wrapped source does; it returns nil
-// (reported as not-forkable by ForkSource) otherwise.
-func (l *Limited) Fork() Source {
-	src, ok := ForkSource(l.src)
-	if !ok {
-		return nil
-	}
-	return &Limited{src: src, left: l.left}
 }
 
 // NextBatch implements BatchSource, clipping the batch to the remaining
@@ -178,16 +137,6 @@ func (o *Offset) Next() (Access, bool) {
 	}
 	a.Addr += o.base
 	return a, true
-}
-
-// Fork implements Forker when the wrapped source does; it returns nil
-// (reported as not-forkable by ForkSource) otherwise.
-func (o *Offset) Fork() Source {
-	src, ok := ForkSource(o.src)
-	if !ok {
-		return nil
-	}
-	return &Offset{src: src, base: o.base}
 }
 
 // NextBatch implements BatchSource, shifting the batch in place.

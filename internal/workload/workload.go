@@ -99,7 +99,6 @@ const defaultStreamRing = 1 << 22 // 256MB of block addresses; never re-hits
 type generator struct {
 	bench    Benchmark
 	rng      *rand.Rand
-	pcg      *rand.PCG // rng's source, retained so Fork can snapshot it
 	cum      []float64 // cumulative normalised weights
 	bases    []uint64  // per-region base block address
 	cursors  []uint64  // per-region loop/stream cursor
@@ -144,11 +143,9 @@ func newGenerator(bench Benchmark, seed uint64, thread, nthreads int) *generator
 	if bench.InstrPerAccess < 1 {
 		panic(fmt.Sprintf("workload %q: InstrPerAccess must be >= 1", bench.Name))
 	}
-	pcg := rand.NewPCG(seed, 0x9e3779b97f4a7c15+uint64(thread))
 	g := &generator{
 		bench: bench,
-		rng:   rand.New(pcg),
-		pcg:   pcg,
+		rng:   rand.New(rand.NewPCG(seed, 0x9e3779b97f4a7c15+uint64(thread))),
 	}
 	total := 0.0
 	for _, r := range bench.Regions {
@@ -234,33 +231,6 @@ func (g *generator) NextBatch(dst []trace.Access) int {
 		dst[i], _ = g.Next()
 	}
 	return len(dst)
-}
-
-// Fork implements trace.Forker: the returned source continues the
-// stream from the generator's current position, with its own copy of
-// every piece of mutable state (PCG state, region cursors, pending RMW
-// write, instruction dither). The immutable mixture tables (cum, bases)
-// are shared.
-func (g *generator) Fork() trace.Source {
-	state, err := g.pcg.MarshalBinary()
-	if err != nil {
-		panic(fmt.Sprintf("workload %q: snapshot rng: %v", g.bench.Name, err))
-	}
-	pcg := &rand.PCG{}
-	if err := pcg.UnmarshalBinary(state); err != nil {
-		panic(fmt.Sprintf("workload %q: restore rng: %v", g.bench.Name, err))
-	}
-	return &generator{
-		bench:    g.bench,
-		rng:      rand.New(pcg),
-		pcg:      pcg,
-		cum:      g.cum,
-		bases:    g.bases,
-		cursors:  append([]uint64(nil), g.cursors...),
-		pending:  g.pending,
-		havePend: g.havePend,
-		instErr:  g.instErr,
-	}
 }
 
 // advance returns region ri's cursor and steps it around the ring of

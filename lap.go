@@ -29,7 +29,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/energy"
 	otrace "repro/internal/obs/trace"
-	"repro/internal/sample"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -62,12 +61,6 @@ type (
 	// Tracer records spans and counters for the trace-event exporters
 	// (see internal/obs/trace); NewTracer constructs one.
 	Tracer = otrace.Tracer
-	// SampleProfile is a functional profiling pass's outcome: interval
-	// signatures plus source checkpoints, reusable across policies.
-	SampleProfile = sample.Profile
-	// SampleEstimate is a sampled run's error report, carried in
-	// Result.Sample (nil on exact runs).
-	SampleEstimate = sim.SampleEstimate
 )
 
 // Policy names an inclusion property implemented by this library. Every
@@ -106,9 +99,8 @@ func Policies() []Policy {
 // ResolvePolicies parses a policy argument — a single name, a comma
 // list, or "all" — under cfg, returning canonical policies with
 // duplicates collapsed plus notices for policies "all" skipped as
-// ineligible (hybrid-only on a uniform LLC, sampled-ineligible when
-// cfg.SampleInterval > 0). Explicitly requesting an ineligible or
-// unknown name returns a *FieldError on "Policy".
+// ineligible (hybrid-only on a uniform LLC). Explicitly requesting an
+// ineligible or unknown name returns a *FieldError on "Policy".
 func ResolvePolicies(cfg Config, arg string) ([]Policy, []string, error) {
 	names, notices, err := cfg.ResolvePolicies(arg)
 	if err != nil {
@@ -165,57 +157,6 @@ func RunObserved(cfg Config, p Policy, mix Mix, accesses, seed uint64, tel *Tele
 		return Result{}, err
 	}
 	return sim.RunObserved(cfg, ctrl, srcs, tel), nil
-}
-
-// BuildSampleProfile runs the functional profiling pass for sampled
-// simulation over a mix: every access executes once in functional mode
-// under a fixed policy-independent controller, producing per-interval
-// signatures (window length cfg.SampleInterval, which must be set) and
-// source checkpoints. The profile is reusable across policies — build
-// it once per (config, workload) and replay it with RunSampledProfile
-// for each policy of a sweep.
-func BuildSampleProfile(cfg Config, mix Mix, accesses, seed uint64) (*SampleProfile, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.SampleInterval == 0 {
-		return nil, fmt.Errorf("lap: BuildSampleProfile needs cfg.SampleInterval > 0")
-	}
-	if len(mix.Members) != cfg.Cores {
-		return nil, fmt.Errorf("lap: mix %s has %d members for %d cores", mix.Name, len(mix.Members), cfg.Cores)
-	}
-	srcs, err := sim.MixSources(mix, accesses, seed)
-	if err != nil {
-		return nil, err
-	}
-	return sample.BuildProfile(cfg, srcs, cfg.SampleInterval)
-}
-
-// RunSampledProfile replays a profile against one policy: cluster the
-// intervals, simulate one representative per cluster in detail, and
-// extrapolate by cluster weight. The returned Result carries its error
-// report in Result.Sample.
-func RunSampledProfile(cfg Config, p Policy, prof *SampleProfile) (Result, error) {
-	ctrl, err := NewController(p, cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	r, err := sample.Run(cfg, ctrl, prof)
-	if err != nil {
-		return Result{}, err
-	}
-	return r.Sim, nil
-}
-
-// RunSampled is the one-shot convenience: profile the mix, then replay
-// it against one policy. For multi-policy sweeps, build the profile
-// once with BuildSampleProfile and share it instead.
-func RunSampled(cfg Config, p Policy, mix Mix, accesses, seed uint64) (Result, error) {
-	prof, err := BuildSampleProfile(cfg, mix, accesses, seed)
-	if err != nil {
-		return Result{}, err
-	}
-	return RunSampledProfile(cfg, p, prof)
 }
 
 // RunThreaded simulates a multi-threaded benchmark (one thread per core,

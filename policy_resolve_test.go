@@ -13,8 +13,6 @@ import (
 func TestResolvePoliciesCanonical(t *testing.T) {
 	stt := DefaultConfig()
 	hybrid := DefaultConfig().WithHybridL3()
-	sampled := DefaultConfig()
-	sampled.SampleInterval = 10000
 
 	allSTT, _, err := ResolvePolicies(stt, "all")
 	if err != nil {
@@ -36,7 +34,6 @@ func TestResolvePoliciesCanonical(t *testing.T) {
 		{name: "unknown name", cfg: stt, arg: "bogus", errPart: "unknown policy"},
 		{name: "explicit hybrid-only on uniform LLC", cfg: stt, arg: "Lhybrid", errPart: "hybrid"},
 		{name: "hybrid-only allowed on hybrid LLC", cfg: hybrid, arg: "Lhybrid", want: []Policy{PolicyLhybrid}},
-		{name: "explicit exact-only in sampled mode", cfg: sampled, arg: "reuse-detector", errPart: "sampled"},
 		{name: "empty list", cfg: stt, arg: " , ", errPart: "no policies"},
 	}
 	for _, tc := range cases {
@@ -94,27 +91,6 @@ func TestResolvePoliciesCanonical(t *testing.T) {
 		}
 	})
 
-	t.Run("all skips exact-only policies in sampled mode", func(t *testing.T) {
-		got, notices, err := ResolvePolicies(sampled, "all")
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range got {
-			if p == PolicyReuseDetector || p == PolicyRDCopyback {
-				t.Fatalf("sampled all includes exact-only policy %s", p)
-			}
-		}
-		var named int
-		for _, n := range notices {
-			if strings.Contains(n, string(PolicyReuseDetector)) || strings.Contains(n, string(PolicyRDCopyback)) {
-				named++
-			}
-		}
-		if named != 2 {
-			t.Fatalf("want skip notices for both exact-only policies, got %v", notices)
-		}
-	})
-
 	t.Run("unknown error lists valid names", func(t *testing.T) {
 		_, err := ValidatePolicy(stt, "bogus")
 		if err == nil {
@@ -126,38 +102,4 @@ func TestResolvePoliciesCanonical(t *testing.T) {
 			}
 		}
 	})
-}
-
-// TestSampledRefusalRegression pins the no-silent-wrong-answer rule for
-// each exact-only policy: sampled entry points refuse with a typed
-// FieldError instead of extrapolating from predictor state that cannot
-// survive interval jumps.
-func TestSampledRefusalRegression(t *testing.T) {
-	cfg := smallConfig()
-	cfg.SampleInterval = 5000
-	for _, p := range []Policy{PolicyReuseDetector, PolicyRDCopyback} {
-		t.Run(string(p), func(t *testing.T) {
-			if _, err := RunSampled(cfg, p, smallMix(), 20000, 1); !isPolicyFieldError(err) {
-				t.Fatalf("RunSampled(%s): got %v, want Policy FieldError", p, err)
-			}
-			prof, err := BuildSampleProfile(cfg, smallMix(), 20000, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := RunSampledProfile(cfg, p, prof); !isPolicyFieldError(err) {
-				t.Fatalf("RunSampledProfile(%s): got %v, want Policy FieldError", p, err)
-			}
-			// The same policy runs exact: only the sampled path refuses.
-			exact := cfg
-			exact.SampleInterval = 0
-			if _, err := Run(exact, p, smallMix(), 20000, 1); err != nil {
-				t.Fatalf("exact Run(%s): %v", p, err)
-			}
-		})
-	}
-}
-
-func isPolicyFieldError(err error) bool {
-	var fe *FieldError
-	return errors.As(err, &fe) && fe.Field == "Policy"
 }

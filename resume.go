@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
-	"repro/internal/sample"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -33,8 +32,8 @@ func OpenCheckpointStore(dir string) (*CheckpointStore, error) { return checkpoi
 // mix, scale, and seed) is restored and fast-forwarded instead of
 // re-simulating from access zero. A nil store or zero CheckpointEvery
 // runs exactly like Run. Configurations whose state the checkpoint
-// codec does not cover (coherent, MOESI-tracked, profiled, DRAM-backed,
-// or sampled runs) silently run cold.
+// codec does not cover run cold; Config.CheckpointBlocker names the
+// field responsible.
 func RunResumable(cfg Config, p Policy, mix Mix, accesses, seed uint64, st *CheckpointStore) (Result, error) {
 	if _, err := NewController(p, cfg); err != nil {
 		return Result{}, err
@@ -53,42 +52,4 @@ func RunResumable(cfg Config, p Policy, mix Mix, accesses, seed uint64, st *Chec
 	}
 	mkSrcs := func() ([]trace.Source, error) { return sim.MixSources(mix, accesses, seed) }
 	return checkpoint.ResumableRun(st, cfg, wl, string(p), mkCtrl, mkSrcs)
-}
-
-// LoadOrBuildSampleProfile is BuildSampleProfile backed by the
-// checkpoint store: a digest-matching persisted profile is restored
-// (skipping the functional profiling pass entirely — only the trace
-// positions are regenerated), and a freshly built profile is persisted
-// for the next process. built reports which path ran. A nil store
-// always builds.
-func LoadOrBuildSampleProfile(cfg Config, mix Mix, accesses, seed uint64, st *CheckpointStore) (prof *SampleProfile, built bool, err error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, false, err
-	}
-	if cfg.SampleInterval == 0 {
-		return nil, false, fmt.Errorf("lap: LoadOrBuildSampleProfile needs cfg.SampleInterval > 0")
-	}
-	if len(mix.Members) != cfg.Cores {
-		return nil, false, fmt.Errorf("lap: mix %s has %d members for %d cores", mix.Name, len(mix.Members), cfg.Cores)
-	}
-	key := checkpoint.ProfileKey(cfg, checkpoint.MixWorkload(mix.Name, mix.Members, cfg.Cores, accesses, seed))
-	codec := checkpoint.ProfileCodec[*sample.Profile]{
-		Encode: func(p *sample.Profile) []byte { return p.Encode() },
-		Decode: func(b []byte) (*sample.Profile, error) {
-			srcs, err := sim.MixSources(mix, accesses, seed)
-			if err != nil {
-				return nil, err
-			}
-			return sample.DecodeProfile(b, srcs)
-		},
-	}
-	intervals := func(p *sample.Profile) uint64 { return uint64(len(p.Intervals)) }
-	build := func() (*sample.Profile, error) {
-		srcs, err := sim.MixSources(mix, accesses, seed)
-		if err != nil {
-			return nil, err
-		}
-		return sample.BuildProfile(cfg, srcs, cfg.SampleInterval)
-	}
-	return checkpoint.LoadOrBuildProfile(st, key, intervals, codec, build)
 }
